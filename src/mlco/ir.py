@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 
@@ -96,9 +97,10 @@ class UnsupportedGateError(ParseError):
 class Gate:
     """One instruction: kind, ordered controls, target, optional angle.
 
-    Controls are symmetric for every kind, so equality and hashing use the
-    control *set*.  Barriers carry their spanned qubits in ``controls`` and
-    have no target.
+    Equality and hashing use the control *set* for every kind but RCCX,
+    whose unitary depends on the control order, so RCCX compares its
+    controls in order.  Barriers carry their spanned qubits in ``controls``
+    and have no target.
     """
 
     kind: GateKind
@@ -152,14 +154,18 @@ class Gate:
         if not isinstance(other, Gate):
             return NotImplemented
         return (self.kind is other.kind
-                and frozenset(self.controls) == frozenset(other.controls)
                 and self.target == other.target
-                and self.angle == other.angle)
+                and self.angle == other.angle
+                and (self.controls == other.controls
+                     or (self.kind is not GateKind.RCCX
+                         and frozenset(self.controls) == frozenset(other.controls))))
 
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.kind, frozenset(self.controls), self.target, self.angle))
+            controls = self.controls if self.kind is GateKind.RCCX \
+                else frozenset(self.controls)
+            h = hash((self.kind, controls, self.target, self.angle))
             self.__dict__["_hash"] = h
         return h
 
@@ -430,6 +436,30 @@ def _gate_record(g: Gate) -> dict:
 _KIND_BY_NAME = {k.value: k for k in GateKind}
 
 
+def _is_qubit(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_gate(i: int, rec) -> Gate:
+    if not isinstance(rec, dict):
+        raise ParseError(f"gate {i}: record must be an object")
+    name = rec.get("kind")
+    if not isinstance(name, str) or name not in _KIND_BY_NAME:
+        raise UnsupportedGateError(f"gate {i}: unknown kind {name!r}")
+    controls, target, angle = rec.get("controls", []), rec.get("target"), rec.get("angle")
+    if not (isinstance(controls, list) and all(_is_qubit(q) for q in controls)):
+        raise ParseError(f"gate {i}: controls must be a list of integer qubit indices")
+    if target is not None and not _is_qubit(target):
+        raise ParseError(f"gate {i}: target must be an integer qubit index")
+    if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))
+                              or not math.isfinite(angle)):
+        raise ParseError(f"gate {i}: angle must be a finite number, got {angle!r}")
+    try:
+        return Gate(_KIND_BY_NAME[name], tuple(controls), target, angle)
+    except CircuitError as exc:
+        raise ParseError(f"gate {i}: {exc}") from exc
+
+
 def read_circuit(data: bytes | str) -> Circuit:
     """Parse a circuit document produced by write_circuit."""
     text = data.decode() if isinstance(data, bytes) else data
@@ -445,19 +475,9 @@ def read_circuit(data: bytes | str) -> Circuit:
         records = doc["gates"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed header field: {exc}") from exc
-    gates = []
-    for i, rec in enumerate(records):
-        try:
-            kind = _KIND_BY_NAME[rec["kind"]]
-        except KeyError:
-            raise UnsupportedGateError(
-                f"gate {i}: unknown kind {rec.get('kind')!r}") from None
-        try:
-            gate = Gate(kind, tuple(rec.get("controls", ())),
-                        rec.get("target"), rec.get("angle"))
-        except (CircuitError, TypeError) as exc:
-            raise ParseError(f"gate {i}: {exc}") from exc
-        gates.append(gate)
+    if not isinstance(records, list):
+        raise ParseError("gates must be a list")
+    gates = [_parse_gate(i, rec) for i, rec in enumerate(records)]
     try:
         return Circuit(num_qubits, tuple(gates), num_ancillas)
     except CircuitError as exc:

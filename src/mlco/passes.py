@@ -8,6 +8,7 @@ pass is deterministic.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import time
@@ -39,15 +40,29 @@ class PassConfig:
     enabled_rules: frozenset[str] | None = None  # None = all registered rules
 
     def __post_init__(self):
-        if self.angle_merge_tolerance < 0:
+        tol, cap = self.angle_merge_tolerance, self.max_fixpoint_iterations
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+                or not math.isfinite(tol):
+            raise ValueError(f"tolerance must be a finite number, got {tol!r}")
+        if tol < 0:
             raise ValueError("tolerance must be >= 0")
-        if self.max_fixpoint_iterations < 1:
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"iteration cap must be an integer, got {cap!r}")
+        if cap < 1:
             raise ValueError("iteration cap must be >= 1")
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "PassConfig":
         doc = json.loads(data)
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
         rules = doc.get("enabled_rules")
+        if rules is not None:
+            if not (isinstance(rules, list) and all(isinstance(r, str) for r in rules)):
+                raise ValueError("enabled_rules must be a list of rule names")
+            unknown = sorted(set(rules) - set(RULES))
+            if unknown:
+                raise ValueError(f"enabled_rules names unknown rules: {', '.join(unknown)}")
         return cls(
             angle_merge_tolerance=doc.get("angle_merge_tolerance", 1e-10),
             max_fixpoint_iterations=doc.get("max_fixpoint_iterations", 64),
@@ -112,23 +127,30 @@ def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Ci
         i = 0
         while i < len(gates):
             g = gates[i]
+            wires = set(g.qubits)
             j = i + 1
             acted = False
             while j < len(gates):
                 other = gates[j]
-                if _inverse_pair(g, other):
-                    del gates[j], gates[i]
-                    acted = True
-                    break
-                merged = _merged(g, other)
-                if merged is not None:
-                    del gates[j]
-                    if abs(merged.angle) <= tol:
-                        del gates[i]
-                    else:
-                        gates[i] = merged
-                    acted = True
-                    break
+                # A gate off g's wires is no inverse or merge partner and
+                # commutes with g; one with another target can only commute.
+                if wires.isdisjoint(other.qubits):
+                    j += 1
+                    continue
+                if other.target == g.target:
+                    if _inverse_pair(g, other):
+                        del gates[j], gates[i]
+                        acted = True
+                        break
+                    merged = _merged(g, other)
+                    if merged is not None:
+                        del gates[j]
+                        if abs(merged.angle) <= tol:
+                            del gates[i]
+                        else:
+                            gates[i] = merged
+                        acted = True
+                        break
                 if not commutes(g, other):
                     break
                 j += 1
@@ -153,6 +175,20 @@ class RewriteRule:
     pattern: Circuit
     replacement: Circuit
     certified: bool = False
+
+    def __post_init__(self):
+        # The matcher looks for each pattern gate after the first only on
+        # the wires of the gates before it.
+        pattern = self.pattern.gates
+        if not pattern:
+            raise CircuitError(f"rule {self.name!r} has an empty pattern")
+        seen = set(pattern[0].qubits)
+        for g in pattern[1:]:
+            if seen.isdisjoint(g.qubits):
+                raise CircuitError(
+                    f"rule {self.name!r}: pattern gate {g.kind.value} on {g.qubits} "
+                    "shares no wire with the gates before it")
+            seen.update(g.qubits)
 
     def certify(self) -> "RewriteRule":
         """Exact unitary-equivalence check; refuses entangling-count regressions."""
@@ -258,7 +294,23 @@ def _match_gate(pattern_gate: Gate, gate: Gate, binding: dict[int, int]) -> list
     return results
 
 
-def _find_match(gates: list[Gate], rule: RewriteRule, start: int, gather: str):
+def _wire_index(gates: list[Gate]) -> dict[int, list[int]]:
+    """For each wire, the ascending positions of the gates touching it."""
+    index: dict[int, list[int]] = {}
+    for pos, g in enumerate(gates):
+        for q in g.qubits:
+            index.setdefault(q, []).append(pos)
+    return index
+
+
+def _positions_on(index: dict[int, list[int]], wires, after: int) -> list[int]:
+    """Ascending positions after `after` of the gates touching any of `wires`."""
+    return sorted(set().union(*(index[w][bisect.bisect_right(index[w], after):]
+                                for w in wires)))
+
+
+def _find_match(gates: list[Gate], rule: RewriteRule, start: int, gather: str,
+                index: dict[int, list[int]] | None = None):
     """Leftmost match of `rule.pattern` with commuting gates allowed in between.
 
     Returns (positions, binding) or None.  With gather "left" the matched
@@ -271,20 +323,28 @@ def _find_match(gates: list[Gate], rule: RewriteRule, start: int, gather: str):
     strictly between the first match and j.  The left-gather commutation
     check against them runs only for a candidate that matches the next
     pattern gate, since no other gate can extend the match.
+
+    Candidates are visited through `index` (see `_wire_index`, built from
+    `gates` when not given), on the wires already bound only.  A rule
+    pattern is wire-connected, so a gate off those wires never matches, and
+    it commutes with every matched gate, so it never stops a right gather.
+    `gates` must be barrier-free, as `apply_rules` makes them.
     """
+    if index is None:
+        index = _wire_index(gates)
     pattern = rule.pattern.gates
     for binding in _match_gate(pattern[0], gates[start], {}):
-        found = _extend(gates, pattern, 1, [start], binding, gather)
+        found = _extend(gates, index, pattern, 1, [start], binding, gather)
         if found is not None:
             return found
     return None
 
 
-def _extend(gates, pattern, p_idx, positions, binding, gather):
+def _extend(gates, index, pattern, p_idx, positions, binding, gather):
     if p_idx == len(pattern):
         return positions, binding
     matched = [gates[p] for p in positions]
-    for j in range(positions[-1] + 1, len(gates)):
+    for j in _positions_on(index, binding.values(), positions[-1]):
         g = gates[j]
         candidates = _match_gate(pattern[p_idx], g, binding)
         if candidates and gather == "left":
@@ -294,7 +354,7 @@ def _extend(gates, pattern, p_idx, positions, binding, gather):
             if not all(commutes(g, sk) for sk in skipped if not wires.isdisjoint(sk.qubits)):
                 candidates = []
         for nb in candidates:
-            found = _extend(gates, pattern, p_idx + 1, positions + [j], nb, gather)
+            found = _extend(gates, index, pattern, p_idx + 1, positions + [j], nb, gather)
             if found is not None:
                 return found
         if gather == "right" and not all(commutes(g, m) for m in matched):
@@ -312,10 +372,11 @@ def _apply_binding(circ: Circuit, binding: dict[int, int]) -> list[Gate]:
 
 
 def _rewrite_once(gates: list[Gate], rules: list[RewriteRule]) -> list[Gate] | None:
+    index = _wire_index(gates)
     for i in range(len(gates)):
         for rule in rules:
             for gather in ("left", "right"):
-                found = _find_match(gates, rule, i, gather)
+                found = _find_match(gates, rule, i, gather, index)
                 if found is None:
                     continue
                 positions, binding = found

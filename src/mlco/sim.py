@@ -241,17 +241,23 @@ def align_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return u * (rr / abs(rr)) * (abs(ru) / ru)
 
 
+def _block_and_leak(circuit: Circuit, width: int) -> tuple[np.ndarray, float]:
+    """Unitary restricted to the ancilla-zero subspace of the first `width` qubits,
+    and the largest population it leaves on a nonzero ancilla output."""
+    u = unitary_of(circuit)
+    dim = 2 ** width
+    leak = np.abs(u[dim:, :dim]) ** 2
+    return u[:dim, :dim], float(leak.max()) if leak.size else 0.0
+
+
 def _data_block(circuit: Circuit, width: int) -> np.ndarray:
     """Unitary restricted to the ancilla-zero subspace of the first `width` qubits.
 
     Verifies that ancilla-zero inputs produce no population on nonzero
     ancilla outputs.
     """
-    u = unitary_of(circuit)
-    dim = 2 ** width
-    block = u[:dim, :dim]
-    leak = np.abs(u[dim:, :dim]) ** 2
-    if leak.size and leak.max() > math.sqrt(ANCILLA_LEAK_TOL):
+    block, leak = _block_and_leak(circuit, width)
+    if leak > math.sqrt(ANCILLA_LEAK_TOL):
         raise AssertionError("ancilla contract violated: population left outside |0..0>")
     return block
 
@@ -263,6 +269,8 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
 
     Circuits may differ in width; the common data register is the smaller
     of the two data widths and every higher wire must start and end in |0>.
+    With `ancillas_zero`, a circuit that leaves population outside that
+    subspace fails the check, with a reported deviation no smaller than the leak.
     """
     width = min(a.num_data_qubits, b.num_data_qubits)
     if max(a.num_qubits, b.num_qubits) > STATEVECTOR_QUBIT_CAP:
@@ -288,7 +296,10 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
         if fidelity < 1.0 - PHASE_TOL:
             ok = False
     if max(a.num_qubits, b.num_qubits) <= 10:
-        ua, ub = _data_block(a, width), _data_block(b, width)
+        (ua, leak_a), (ub, leak_b) = _block_and_leak(a, width), _block_and_leak(b, width)
+        leak = max(leak_a, leak_b)
+        if ancillas_zero and leak > math.sqrt(ANCILLA_LEAK_TOL):
+            return False, float(max(worst, leak))
         dev = float(np.max(np.abs(align_phase(ua, ub) - ub)))
         worst = max(worst, dev)
         if dev > 1e-9:

@@ -128,6 +128,25 @@ def test_verify_pair_pass_and_fail(built, tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+def test_verify_pair_fails_on_dirty_ancillas(built, tmp_path, capsys):
+    from mlco import sim
+    from mlco.ir import write_circuit
+    opt = tmp_path / "opt.mlco"
+    run(capsys, "optimize", "--in", str(built), "--out", str(opt), "--no-verify")
+    circ = read_circuit(opt.read_bytes())
+    # Delete the first CX onto an ancilla: its partner now leaves it dirty.
+    site = next(i for i, g in enumerate(circ.gates)
+                if g.kind.value == "CX" and g.target >= circ.num_data_qubits)
+    mutant = circ.with_gates(circ.gates[:site] + circ.gates[site + 1:])
+    assert mutant.num_qubits <= 10  # the full-unitary path of the check
+    with pytest.raises(AssertionError, match="ancilla"):
+        sim._data_block(mutant, mutant.num_data_qubits)
+    path = tmp_path / "mutant.mlco"
+    path.write_bytes(write_circuit(mutant))
+    code, out, _ = run(capsys, "verify", "--a", str(built), "--b", str(path))
+    assert code == 1 and "FAIL" in out
+
+
 def test_verify_against_product_formula(built, capsys):
     code, out, _ = run(capsys, "verify", "--a", str(built),
                        "--against", "product-formula", "--steps", "2")
@@ -158,5 +177,51 @@ def test_table1(capsys):
 
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "count", "--in", "/nonexistent/file.mlco")
+    assert code == 2
+    assert "error:" in err
+
+
+_HEADER = '{"num_qubits": 2, "num_ancillas": 0, "gates": '
+
+
+@pytest.mark.parametrize("gates", [
+    '{"kind": "X", "controls": [], "target": 0}',
+    '[["X", 0]]',
+    '[{"kind": "RZ", "controls": [], "target": 0, "angle": "0.5"}]',
+    '[{"kind": "RZ", "controls": [], "target": 0, "angle": false}]',
+    '[{"kind": "RZ", "controls": [], "target": 0, "angle": NaN}]',
+    '[{"kind": "RZ", "controls": [], "target": 0, "angle": -Infinity}]',
+    '[{"kind": "CX", "controls": [0.5], "target": 1}]',
+    '[{"kind": "CX", "controls": [0], "target": true}]',
+    '[{"kind": "CX", "controls": [0], "target": 1.0}]',
+    '[{"kind": "CX", "controls": "0", "target": 1}]',
+    '[{"kind": ["CX"], "controls": [0], "target": 1}]',
+], ids=["gates-not-list", "record-not-object", "angle-string", "angle-bool",
+        "angle-nan", "angle-inf", "qubit-float", "qubit-bool", "target-float",
+        "controls-string", "kind-list"])
+def test_count_rejects_malformed_circuit_file(tmp_path, capsys, gates):
+    path = tmp_path / "bad.mlco"
+    path.write_text(_HEADER + gates + "}")
+    code, _, err = run(capsys, "count", "--in", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"angle_merge_tolerance": "tight"},
+    {"angle_merge_tolerance": float("nan")},
+    {"max_fixpoint_iterations": "many"},
+    {"max_fixpoint_iterations": 6.5},
+    {"max_fixpoint_iterations": True},
+    {"enabled_rules": ["cx-stair", "cx-stairs"]},
+    {"enabled_rules": "cx-stair"},
+    [],
+], ids=["tolerance-string", "tolerance-nan", "iterations-string", "iterations-float",
+        "iterations-bool", "unknown-rule", "rules-string", "not-an-object"])
+def test_optimize_rejects_malformed_config(built, tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "optimize", "--in", str(built), "--config", str(cfg),
+                       "--out", str(tmp_path / "o.mlco"), "--no-verify")
     assert code == 2
     assert "error:" in err

@@ -50,6 +50,18 @@ def test_control_order_irrelevant_for_equality():
     assert cx(0, 1) != cx(1, 0)
 
 
+def test_rccx_equality_keeps_control_order():
+    a, b = rccx(0, 1, 2), rccx(1, 0, 2)
+    ua = sim.unitary_of(Circuit(3, (a,)))
+    ub = sim.unitary_of(Circuit(3, (b,)))
+    assert np.abs(sim.align_phase(ua, ub) - ub).max() > 1e-3  # different unitaries
+    assert a != b
+    assert len({a, b}) == 2
+    for g in (a, b):
+        same = Gate(GateKind.RCCX, g.controls, g.target)
+        assert g == same and hash(g) == hash(same)
+
+
 def test_angle_compared_exactly():
     assert rz(0, 0.1) != rz(0, 0.1 + 1e-15)
 

@@ -1,6 +1,7 @@
 """Rewrite rules, lowerings, and pipeline stages."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from mlco import passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
-    Circuit, GateKind, LOGS, MIGS, ccrz, ccx, census, conforms, crz,
-    cs, cx, cz, h, mcrz, rccx, rz, s, x,
+    Circuit, CircuitError, GateKind, LOGS, MIGS, ROTATION_KINDS, ccrz, ccx,
+    census, commutes, conforms, crz, cs, cx, cz, h, mcrz, rccx, rz, s, x,
 )
 from mlco.passes import (
     COST_MODEL, PassConfig, RULES, ConformanceError, apply_rules,
@@ -113,6 +114,134 @@ def test_find_match_checks_skipped_gates_per_gather(gates, left, right):
         assert positions == want, gather
     c = Circuit(3, gates)
     assert _equiv(c, simplify(c, ("cx-ladder",)))
+
+
+# ---------------------------------------------------------------------------
+# Wire-indexed scans against the full scans they replaced
+
+def _ref_find_match(gates, rule, start, gather):
+    pattern = rule.pattern.gates
+    for binding in passes._match_gate(pattern[0], gates[start], {}):
+        found = _ref_extend(gates, pattern, 1, [start], binding, gather)
+        if found is not None:
+            return found
+    return None
+
+
+def _ref_extend(gates, pattern, p_idx, positions, binding, gather):
+    if p_idx == len(pattern):
+        return positions, binding
+    matched = [gates[p] for p in positions]
+    for j in range(positions[-1] + 1, len(gates)):
+        g = gates[j]
+        candidates = passes._match_gate(pattern[p_idx], g, binding)
+        if candidates and gather == "left":
+            wires = set(g.qubits)
+            skipped = (gates[k] for k in range(positions[0] + 1, j) if k not in positions)
+            if not all(commutes(g, sk) for sk in skipped if not wires.isdisjoint(sk.qubits)):
+                candidates = []
+        for nb in candidates:
+            found = _ref_extend(gates, pattern, p_idx + 1, positions + [j], nb, gather)
+            if found is not None:
+                return found
+        if gather == "right" and not all(commutes(g, m) for m in matched):
+            return None
+    return None
+
+
+def _ref_cancel_adjacent(circuit, config=passes.DEFAULT_CONFIG):
+    tol = config.angle_merge_tolerance
+    gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
+    for _ in range(config.max_fixpoint_iterations):
+        changed = False
+        gates = [g for g in gates
+                 if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
+        i = 0
+        while i < len(gates):
+            g = gates[i]
+            j = i + 1
+            acted = False
+            while j < len(gates):
+                other = gates[j]
+                if passes._inverse_pair(g, other):
+                    del gates[j], gates[i]
+                    acted = True
+                    break
+                merged = passes._merged(g, other)
+                if merged is not None:
+                    del gates[j]
+                    if abs(merged.angle) <= tol:
+                        del gates[i]
+                    else:
+                        gates[i] = merged
+                    acted = True
+                    break
+                if not commutes(g, other):
+                    break
+                j += 1
+            if acted:
+                changed = True
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        if not changed:
+            break
+    return circuit.with_gates(gates)
+
+
+def _random_gates(rng, wires, length):
+    gates = []
+    for _ in range(length):
+        q = rng.sample(range(wires), 3)
+        make = rng.choice([
+            lambda: cx(q[0], q[1]), lambda: cx(q[0], q[1]), lambda: cx(q[0], q[1]),
+            lambda: cz(q[0], q[1]), lambda: x(q[0]), lambda: h(q[0]),
+            lambda: rz(q[0], rng.choice([0.25, -0.25, 0.5])),
+            lambda: ccx(q[0], q[1], q[2]),
+        ])
+        gates.append(make())
+    return gates
+
+
+def _exact(gates):
+    return [(g.kind, g.controls, g.target, g.angle) for g in gates]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wire_indexed_find_match_equals_full_scan(seed):
+    rng = random.Random(seed)
+    fired = 0
+    for _ in range(100):
+        gates = _random_gates(rng, rng.randint(3, 5), rng.randint(6, 24))
+        index = passes._wire_index(gates)
+        for rule in RULES.values():
+            for gather in ("left", "right"):
+                for start in range(len(gates)):
+                    want = _ref_find_match(gates, rule, start, gather)
+                    assert passes._find_match(gates, rule, start, gather) == want
+                    assert passes._find_match(gates, rule, start, gather, index) == want
+                    fired += want is not None
+    assert fired > 80  # the circuits exercise matches, not only rejections
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wire_skipping_cancel_adjacent_equals_full_scan(seed):
+    rng = random.Random(100 + seed)
+    acted = 0
+    for _ in range(60):
+        c = Circuit(5, tuple(_random_gates(rng, rng.randint(3, 5), rng.randint(4, 30))))
+        want = _ref_cancel_adjacent(c)
+        assert _exact(cancel_adjacent(c).gates) == _exact(want.gates)
+        acted += len(want.gates) < len(c.gates)
+    assert acted > 10
+
+
+def test_rule_pattern_must_be_wire_connected():
+    # The second CX shares no wire with the first.
+    with pytest.raises(CircuitError, match="shares no wire"):
+        passes._rule("split", 4, [cx(0, 1), cx(2, 3), cx(0, 1), cx(2, 3)], [])
+    with pytest.raises(CircuitError, match="empty pattern"):
+        passes._rule("empty", 2, [], [])
 
 
 def test_unknown_rule_name_rejected():
