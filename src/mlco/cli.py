@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -16,13 +17,13 @@ from . import report as report_mod
 from . import sim
 from .build import H2Order, PdeParams, WingStyle, build_one_step, build_steps, compose_steps
 from .ir import (
-    HIGS, LOGS, MIGS, Circuit, CircuitError, GateKind, census, conforms,
+    HIGS, LOGS, MIGS, Circuit, CircuitError, census, conforms,
     read_circuit, write_circuit, write_qasm,
 )
 from .passes import (
     DEFAULT_CONFIG, HIGS_RULE_NAMES, MIGS_RULE_NAMES, COST_MODEL, PassConfig,
-    gray_mcrz, lower_to_logs, lower_vchain, optimize_logs,
-    replace_ccx_with_rccx, simplify, _lower_gate_logs, _lowered_to_rz,
+    decompose_to_logs, lower_to_logs, lower_vchain, optimize_logs,
+    replace_ccx_with_rccx, simplify,
 )
 
 VERIFY_DEFAULT_MAX_QUBITS = 8
@@ -94,18 +95,10 @@ def _optimize_mlco(circ: Circuit, to: str, config: PassConfig):
 
 
 def _optimize_deto(circ: Circuit, config: PassConfig):
-    gates = []
-    cost_model_cx = 0
-    for g in circ.without_barriers().gates:
-        cost_model_cx += COST_MODEL.gate_cost(g)
-        if g.kind is GateKind.MCRZ:
-            gates.extend(gray_mcrz(g.controls, g.target, g.angle))
-        else:
-            gates.extend(_lowered_to_rz(_lower_gate_logs(g)))
-    lowered = circ.with_gates(gates)
-    stages = [("LoGS input", lowered)]
+    cost_model_cx = sum(COST_MODEL.gate_cost(g) for g in circ.gates)
+    lowered = decompose_to_logs(circ)
     optimized = optimize_logs(lowered, config)
-    stages.append(("LoGS target", optimized))
+    stages = [("LoGS input", lowered), ("LoGS target", optimized)]
     return optimized, stages, cost_model_cx
 
 
@@ -153,18 +146,20 @@ def cmd_verify(args) -> int:
         print(f"max deviation: {dev:.3e}  {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
     params = PdeParams(n=a.num_data_qubits, tau=args.tau, c=args.c, l=args.l)
-    ham = sim.hamiltonian(params)
-    h_full, h1, h2 = ham[0], ham[1], ham[2]
+    u, leak = sim._block_and_leak(a, params.n)
+    if leak > math.sqrt(sim.ANCILLA_LEAK_TOL):
+        print(f"ancilla leak: {leak:.3e}  FAIL")
+        return 1
     if args.against == "product-formula":
+        _, h1, h2, _ = sim.hamiltonian(params)
         step = sim.expm_hermitian(h1, params.tau) @ sim.expm_hermitian(h2, params.tau)
         target = np.linalg.matrix_power(step, args.steps)
-        u = sim._data_block(a, params.n) if a.num_ancillas else sim.unitary_of(a)
         dev = float(np.abs(sim.align_phase(u, target) - target).max())
         ok = dev <= 1e-10
         print(f"max deviation vs product formula: {dev:.3e}  "
               f"{'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
-    err = sim.trotter_error(params, a, steps=args.steps)
+    err = sim.evolution_error(params, u, steps=args.steps)
     print(f"Trotter error vs exact evolution at tau={params.tau}: {err:.3e} "
           "(informational)")
     return 0

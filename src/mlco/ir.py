@@ -470,11 +470,13 @@ def read_circuit(data: bytes | str) -> Circuit:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     try:
-        num_qubits = int(doc["num_qubits"])
-        num_ancillas = int(doc.get("num_ancillas", 0))
-        records = doc["gates"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed header field: {exc}") from exc
+        num_qubits, records = doc["num_qubits"], doc["gates"]
+    except KeyError as exc:
+        raise ParseError(f"missing header field: {exc}") from exc
+    num_ancillas = doc.get("num_ancillas", 0)
+    for name, value in (("num_qubits", num_qubits), ("num_ancillas", num_ancillas)):
+        if not _is_qubit(value):
+            raise ParseError(f"{name} must be an integer, got {value!r}")
     if not isinstance(records, list):
         raise ParseError("gates must be a list")
     gates = [_parse_gate(i, rec) for i, rec in enumerate(records)]

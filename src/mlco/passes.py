@@ -520,55 +520,36 @@ _RZ_EQUIV = {GateKind.Z: math.pi, GateKind.S: math.pi / 2,
 
 
 def _lower_gate_logs(g: Gate) -> list[Gate]:
+    """Fixed LoGS decomposition of one gate, with S/T/Z-family gates as RZ."""
     kind = g.kind
-    if kind in LOGS.allowed_kinds:
-        return [g]
-    if kind in _RZ_EQUIV:
-        return [rz(g.target, _RZ_EQUIV[kind])]
-    if kind is GateKind.RX:
-        return [h(g.target), rz(g.target, g.angle), h(g.target)]
-    if kind is GateKind.CZ:
+    if kind in LOGS.allowed_kinds or kind in _RZ_EQUIV:
+        parts = [g]
+    elif kind is GateKind.RX:
+        parts = [h(g.target), rz(g.target, g.angle), h(g.target)]
+    elif kind is GateKind.CZ:
         (c,), t = g.controls, g.target
-        return [h(t), cx(c, t), h(t)]
-    if kind is GateKind.CY:
+        parts = [h(t), cx(c, t), h(t)]
+    elif kind is GateKind.CY:
         (c,), t = g.controls, g.target
-        return [sdg(t), cx(c, t), s(t)]
-    if kind is GateKind.CS:
+        parts = [sdg(t), cx(c, t), s(t)]
+    elif kind is GateKind.CS:
         (c,), t = g.controls, g.target
-        return [rz(c, math.pi / 4)] + _crz_logs(c, t, math.pi / 2)
-    if kind is GateKind.CSDG:
+        parts = [rz(c, math.pi / 4)] + _crz_logs(c, t, math.pi / 2)
+    elif kind is GateKind.CSDG:
         (c,), t = g.controls, g.target
-        return [rz(c, -math.pi / 4)] + _crz_logs(c, t, -math.pi / 2)
-    if kind is GateKind.CRZ:
-        return _crz_logs(g.controls[0], g.target, g.angle)
-    if kind is GateKind.CCRZ:
-        return _ccrz_logs(*g.controls, g.target, g.angle)
-    if kind is GateKind.CCX:
-        return _ccx_logs(*g.controls, g.target)
-    if kind is GateKind.RCCX:
-        return list(rccx_decomposition(*g.controls, g.target))
-    raise ConformanceError(f"no LoGS decomposition for {kind.value}")
-
-
-def _lowered_to_rz(gates: list[Gate]) -> list[Gate]:
-    """Rewrite leftover S/T/Z-family gates as RZ so the result conforms to LoGS."""
-    out = []
-    for g in gates:
-        if g.kind in _RZ_EQUIV:
-            out.append(rz(g.target, _RZ_EQUIV[g.kind]))
-        else:
-            out.append(g)
-    return out
-
-
-def lower_to_logs(circuit: Circuit) -> Circuit:
-    """MiGS -> LoGS with the fixed, certified decompositions; no optimization."""
-    if not conforms(circuit, MIGS):
-        raise ConformanceError("lower_to_logs expects a MiGS circuit")
-    out: list[Gate] = []
-    for g in circuit.without_barriers().gates:
-        out.extend(_lowered_to_rz(_lower_gate_logs(g)))
-    return circuit.with_gates(out)
+        parts = [rz(c, -math.pi / 4)] + _crz_logs(c, t, -math.pi / 2)
+    elif kind is GateKind.CRZ:
+        parts = _crz_logs(g.controls[0], g.target, g.angle)
+    elif kind is GateKind.CCRZ:
+        parts = _ccrz_logs(*g.controls, g.target, g.angle)
+    elif kind is GateKind.CCX:
+        parts = _ccx_logs(*g.controls, g.target)
+    elif kind is GateKind.RCCX:
+        parts = list(rccx_decomposition(*g.controls, g.target))
+    else:
+        raise ConformanceError(f"no LoGS decomposition for {kind.value}")
+    return [rz(p.target, _RZ_EQUIV[p.kind]) if p.kind in _RZ_EQUIV else p
+            for p in parts]
 
 
 def gray_mcrz(controls: tuple[int, ...], target: int, theta: float) -> list[Gate]:
@@ -591,87 +572,33 @@ def gray_mcrz(controls: tuple[int, ...], target: int, theta: float) -> list[Gate
     return gates
 
 
-def _fuse_single_qubit_runs(gates: list[Gate], num_qubits: int,
-                            tol: float) -> list[Gate]:
-    """Collapse maximal single-qubit runs per wire into a short RZ/H/X word."""
+def decompose_to_logs(circuit: Circuit) -> Circuit:
+    """Any circuit -> LoGS without ancillas or optimization.
+
+    Every MCRZ becomes a gray-code multiplexed rotation (`gray_mcrz`); every
+    other gate takes its fixed decomposition.  This is the DETO lowering.
+    """
     out: list[Gate] = []
-    run: dict[int, list[Gate]] = {}
-
-    def flush(q: int):
-        seq = run.pop(q, None)
-        if seq:
-            out.extend(_resynthesize_1q(seq, q, tol))
-
-    for g in gates:
-        if not g.controls and g.kind is not GateKind.BARRIER:
-            run.setdefault(g.target, []).append(g)
-            continue
-        for q in g.qubits:
-            flush(q)
-        out.append(g)
-    for q in sorted(run):
-        flush(q)
-    return out
+    for g in circuit.without_barriers().gates:
+        if g.kind is GateKind.MCRZ:
+            out.extend(gray_mcrz(g.controls, g.target, g.angle))
+        else:
+            out.extend(_lower_gate_logs(g))
+    return circuit.with_gates(out)
 
 
-def _resynthesize_1q(seq: list[Gate], q: int, tol: float) -> list[Gate]:
-    u = np.eye(2, dtype=complex)
-    for g in seq:
-        u = sim.gate_unitary(g) @ u
-    # Strip global phase via the first nonzero column entry.
-    col = u[:, 0]
-    pivot = col[np.argmax(np.abs(col))]
-    v = u * (abs(pivot) / pivot)
-    if np.abs(v - np.eye(2)).max() <= tol:
-        return []
-    if abs(v[0, 1]) <= tol:  # diagonal -> one RZ
-        theta = float(np.angle(v[1, 1]) - np.angle(v[0, 0]))
-        return [rz(q, theta)] if abs(theta) > tol else []
-    if abs(v[0, 0]) <= tol:  # antidiagonal -> RZ then X
-        delta = float(np.angle(u[0, 1] / u[1, 0]))
-        word = [] if abs(delta) <= tol else [rz(q, delta)]
-        return word + [x(q)]
-    hd = sim.gate_unitary(h(q))
-    if np.abs(sim.align_phase(u, hd) - hd).max() <= tol:
-        return [h(q)]
-    # General case: RZ - H - RZ - H - RZ Euler word.
-    rz_after, theta_mid, rz_before = _euler_zxz(u)
-    word: list[Gate] = []
-    if abs(rz_before) > tol:
-        word.append(rz(q, rz_before))
-    if abs(theta_mid) > tol:
-        word += [h(q), rz(q, theta_mid), h(q)]
-    if abs(rz_after) > tol:
-        word.append(rz(q, rz_after))
-    return word if word else []
-
-
-def _euler_zxz(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (after, mid, before) with u ~ RZ(after) RX(mid) RZ(before)."""
-    det = np.linalg.det(u)
-    su = u / np.sqrt(det)
-    mid = 2 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    half_diff = float(np.angle(1j * su[1, 0])) if abs(su[1, 0]) > 1e-12 else 0.0
-    if abs(su[1, 1]) < 1e-12:
-        return 0.0, mid, -2.0 * half_diff
-    half_sum = float(np.angle(su[1, 1]))
-    return half_sum + half_diff, mid, half_sum - half_diff
+def lower_to_logs(circuit: Circuit) -> Circuit:
+    """MiGS -> LoGS with the fixed, certified decompositions; no optimization."""
+    if not conforms(circuit, MIGS):
+        raise ConformanceError("lower_to_logs expects a MiGS circuit")
+    return decompose_to_logs(circuit)
 
 
 def optimize_logs(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Circuit:
-    """LoGS cleanup: cancellation plus single-qubit run fusion; CX never increases."""
+    """LoGS cleanup: cancel inverse pairs and merge rotations; never adds a gate."""
     if not conforms(circuit, LOGS):
         raise ConformanceError("optimize_logs expects a LoGS circuit")
-    tol = max(config.angle_merge_tolerance, 1e-12)
-    circ = circuit.without_barriers()
-    for _ in range(config.max_fixpoint_iterations):
-        before = circ.gates
-        circ = cancel_adjacent(circ, config)
-        circ = circ.with_gates(
-            _fuse_single_qubit_runs(list(circ.gates), circ.num_qubits, tol))
-        if circ.gates == before:
-            break
-    return circ
+    return cancel_adjacent(circuit, config)
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +676,6 @@ def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
         return None, steps * COST_MODEL.deto_step_cx(params.n)
     if mode != "executable":
         raise ValueError(f"unknown DETO mode {mode!r}")
-    source = build_steps(params, steps, style).without_barriers()
-    out: list[Gate] = []
-    for g in source.gates:
-        if g.kind is GateKind.MCRZ:
-            out.extend(gray_mcrz(g.controls, g.target, g.angle))
-        else:
-            out.extend(_lowered_to_rz(_lower_gate_logs(g)))
-    lowered = source.with_gates(out)
+    lowered = decompose_to_logs(build_steps(params, steps, style))
     optimized = optimize_logs(lowered, config)
     return optimized, census(optimized)["CX"]

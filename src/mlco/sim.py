@@ -309,11 +309,15 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
 
 def trotter_error(params, step_circuit: Circuit, steps: int = 1) -> float:
     """Spectral-norm distance between the step circuit and exp(-i H steps tau)."""
-    if step_circuit.num_qubits > 8 and step_circuit.num_data_qubits > 8:
+    return evolution_error(params, _data_block(step_circuit, params.n), steps)
+
+
+def evolution_error(params, u: np.ndarray, steps: int = 1) -> float:
+    """Spectral-norm distance between a data-register unitary and exp(-i H steps tau)."""
+    if params.n > 8:
         raise CapacityError("trotter_error capped at 8 data qubits")
     h, _, _, _ = hamiltonian(params)
     exact = expm_hermitian(h, steps * params.tau)
-    u = _data_block(step_circuit, params.n)
     # Align by the trace phase, which minimizes the norm over global phases.
     tr = np.trace(exact.conj().T @ u)
     if abs(tr) > 1e-14:

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from mlco import sim
+from mlco.build import PdeParams, WingStyle
 from mlco.cli import main
-from mlco.ir import LOGS, census, conforms, read_circuit
+from mlco.ir import LOGS, census, conforms, read_circuit, write_circuit
+from mlco.passes import pipeline_deto
 
 
 def run(capsys, *argv):
@@ -75,6 +78,15 @@ def test_optimize_deto_prints_cost_model(tmp_path, capsys):
     assert "cost-model CX: 114" in out
 
 
+def test_optimize_deto_matches_pipeline_deto(built, tmp_path, capsys):
+    out_path = tmp_path / "deto.mlco"
+    code, _, _ = run(capsys, "optimize", "--strategy", "deto",
+                     "--in", str(built), "--out", str(out_path), "--no-verify")
+    assert code == 0
+    expected, _ = pipeline_deto(PdeParams(n=6), 2, WingStyle.STAIR, mode="executable")
+    assert read_circuit(out_path.read_bytes()) == expected
+
+
 def test_optimize_deto_rejects_non_logs_target(built, tmp_path, capsys):
     code, _, err = run(capsys, "optimize", "--strategy", "deto", "--to", "migs",
                        "--in", str(built), "--out", str(tmp_path / "x"))
@@ -128,23 +140,36 @@ def test_verify_pair_pass_and_fail(built, tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
-def test_verify_pair_fails_on_dirty_ancillas(built, tmp_path, capsys):
-    from mlco import sim
-    from mlco.ir import write_circuit
+@pytest.fixture
+def dirty(built, tmp_path, capsys):
+    """The optimized n=6, k=2 circuit with its first CX onto an ancilla deleted:
+    that CX's partner now leaves the ancilla dirty."""
     opt = tmp_path / "opt.mlco"
     run(capsys, "optimize", "--in", str(built), "--out", str(opt), "--no-verify")
     circ = read_circuit(opt.read_bytes())
-    # Delete the first CX onto an ancilla: its partner now leaves it dirty.
     site = next(i for i, g in enumerate(circ.gates)
                 if g.kind.value == "CX" and g.target >= circ.num_data_qubits)
     mutant = circ.with_gates(circ.gates[:site] + circ.gates[site + 1:])
     assert mutant.num_qubits <= 10  # the full-unitary path of the check
-    with pytest.raises(AssertionError, match="ancilla"):
-        sim._data_block(mutant, mutant.num_data_qubits)
     path = tmp_path / "mutant.mlco"
     path.write_bytes(write_circuit(mutant))
-    code, out, _ = run(capsys, "verify", "--a", str(built), "--b", str(path))
+    return path
+
+
+def test_verify_pair_fails_on_dirty_ancillas(built, dirty, capsys):
+    mutant = read_circuit(dirty.read_bytes())
+    with pytest.raises(AssertionError, match="ancilla"):
+        sim._data_block(mutant, mutant.num_data_qubits)
+    code, out, _ = run(capsys, "verify", "--a", str(built), "--b", str(dirty))
     assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("against", ["product-formula", "exact-evolution"])
+def test_verify_physics_fails_on_dirty_ancillas(dirty, capsys, against):
+    code, out, _ = run(capsys, "verify", "--a", str(dirty),
+                       "--against", against, "--steps", "2")
+    assert code == 1
+    assert "ancilla leak" in out and "FAIL" in out
 
 
 def test_verify_against_product_formula(built, capsys):
@@ -184,7 +209,7 @@ def test_missing_file_is_usage_error(capsys):
 _HEADER = '{"num_qubits": 2, "num_ancillas": 0, "gates": '
 
 
-@pytest.mark.parametrize("gates", [
+@pytest.mark.parametrize("doc", [_HEADER + gates + "}" for gates in [
     '{"kind": "X", "controls": [], "target": 0}',
     '[["X", 0]]',
     '[{"kind": "RZ", "controls": [], "target": 0, "angle": "0.5"}]',
@@ -196,12 +221,17 @@ _HEADER = '{"num_qubits": 2, "num_ancillas": 0, "gates": '
     '[{"kind": "CX", "controls": [0], "target": 1.0}]',
     '[{"kind": "CX", "controls": "0", "target": 1}]',
     '[{"kind": ["CX"], "controls": [0], "target": 1}]',
+]] + [
+    '{"num_qubits": 6.9, "num_ancillas": 0, "gates": []}',
+    '{"num_qubits": 2, "num_ancillas": true, "gates": []}',
+    '{"num_qubits": "2", "gates": []}',
 ], ids=["gates-not-list", "record-not-object", "angle-string", "angle-bool",
         "angle-nan", "angle-inf", "qubit-float", "qubit-bool", "target-float",
-        "controls-string", "kind-list"])
-def test_count_rejects_malformed_circuit_file(tmp_path, capsys, gates):
+        "controls-string", "kind-list", "num-qubits-float", "num-ancillas-bool",
+        "num-qubits-string"])
+def test_count_rejects_malformed_circuit_file(tmp_path, capsys, doc):
     path = tmp_path / "bad.mlco"
-    path.write_text(_HEADER + gates + "}")
+    path.write_text(doc)
     code, _, err = run(capsys, "count", "--in", str(path))
     assert code == 2
     assert "error:" in err
