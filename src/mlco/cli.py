@@ -102,6 +102,12 @@ def _optimize_deto(circ: Circuit, config: PassConfig):
     return optimized, stages, cost_model_cx
 
 
+def _checks_ran(a: Circuit, b: Circuit, trials: int) -> str:
+    """The checks sim.equivalent_up_to_phase runs on a and b."""
+    full = max(a.num_qubits, b.num_qubits) <= sim.FULL_UNITARY_MAX_QUBITS
+    return f"({trials} random states{' + full unitary' if full else ''})"
+
+
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
     circ = read_circuit(Path(args.infile).read_bytes())
@@ -131,7 +137,7 @@ def cmd_optimize(args) -> int:
             ok, fid = sim.equivalent_up_to_phase(circ, out, ancillas_zero=True,
                                                  trials=args.trials, seed=args.seed)
             print(f"verification: {'pass' if ok else 'FAIL'} "
-                  f"(max deviation {fid:.3g})")
+                  f"(max deviation {fid:.3g}) {_checks_ran(circ, out, args.trials)}")
             if not ok:
                 return 1
     return 0
@@ -143,10 +149,11 @@ def cmd_verify(args) -> int:
         b = read_circuit(Path(args.b).read_bytes())
         ok, dev = sim.equivalent_up_to_phase(a, b, ancillas_zero=True,
                                              trials=args.trials, seed=args.seed)
-        print(f"max deviation: {dev:.3e}  {'pass' if ok else 'FAIL'}")
+        print(f"max deviation: {dev:.3e}  {'pass' if ok else 'FAIL'} "
+              f"{_checks_ran(a, b, args.trials)}")
         return 0 if ok else 1
     params = PdeParams(n=a.num_data_qubits, tau=args.tau, c=args.c, l=args.l)
-    u, leak = sim._block_and_leak(a, params.n)
+    u, leak = sim.data_block(a, params.n)
     if leak > math.sqrt(sim.ANCILLA_LEAK_TOL):
         print(f"ancilla leak: {leak:.3e}  FAIL")
         return 1

@@ -3,10 +3,23 @@
 Everything the passes claim is checked against this module.  Capacity is
 deliberately desk-scale: full unitaries up to 12 qubits, statevectors up
 to 24.
+
+`gate_unitary` (through `unitary_of_kind`) builds each gate's dense matrix
+and is the independent oracle.  `apply` and `unitary_of` do not multiply
+by it: they run in-place slice kernels (Häner & Steiger, SC 2017) on the
+state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a trailing
+batch axis.  Every gate but BARRIER and RCCX is a 2x2 on the target applied
+where every control is |1>, i.e. to two views of the tensor (target 0 and
+target 1, controls fixed to 1).  Diagonal kinds scale those views, X-type
+kinds swap them, H becomes sum and difference, and RZ scales only the
+target-1 view; the scalars left out (H's 1/sqrt 2, RZ's e^{-i theta/2})
+are multiplied in at the end.  RCCX runs as `rccx_decomposition`, which
+defines its unitary.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -17,6 +30,8 @@ from .ir import Circuit, Gate, GateKind, rccx_decomposition
 UNITARY_QUBIT_CAP = 12
 STATEVECTOR_QUBIT_CAP = 24
 
+FULL_UNITARY_MAX_QUBITS = 10  # equivalent_up_to_phase adds the full-unitary check
+
 DEFAULT_TRIALS = 20
 PHASE_TOL = 1e-10
 ANCILLA_LEAK_TOL = 1e-20
@@ -24,6 +39,10 @@ ANCILLA_LEAK_TOL = 1e-20
 
 class CapacityError(RuntimeError):
     """Dense simulation request beyond the documented qubit caps."""
+
+
+class AncillaLeakError(ValueError):
+    """A circuit left population outside the ancilla-zero subspace."""
 
 
 class NonHermitianError(ValueError):
@@ -106,30 +125,103 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     return unitary_of_kind(gate.kind, gate.angle, len(gate.controls))
 
 
-def _apply_gate(tensor: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply `gate` to a state tensor shaped (2,)*n (+ optional batch axes)."""
-    if gate.kind is GateKind.BARRIER:
-        return tensor
-    support = gate.qubits  # controls first, then target: matches gate_unitary
-    axes = [n - 1 - q for q in support]
-    k = len(support)
-    moved = np.moveaxis(tensor, axes, range(k))
-    shape = moved.shape
-    flat = moved.reshape(2 ** k, -1)
-    flat = gate_unitary(gate) @ flat
-    return np.moveaxis(flat.reshape(shape), range(k), axes)
+def _target_matrix(gate: Gate) -> np.ndarray:
+    """The 2x2 a gate applies to its target when every control is |1>."""
+    table = _BASE_1Q if gate.kind in _BASE_1Q else _CONTROLLED_TARGET
+    return table[gate.kind](gate.angle)
+
+
+_SWAP_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX})
+_SQRT_HALF = math.sqrt(0.5)
+# _run folds the pending factor in before it can underflow (H shrinks it by
+# 1/sqrt 2 and grows the tensor by sqrt 2 each time).
+_FACTOR_FLOOR = 2.0 ** -200
+
+
+def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
+                scratch: tuple[np.ndarray, np.ndarray]) -> complex:
+    """Apply `gate` in place to a tensor shaped (2,)*n (+ trailing batch axes).
+
+    Returns the scalar the kernel leaves out (RZ's e^{-i theta/2}, H's
+    1/sqrt 2) for the caller to multiply in.  `scratch` holds two flat
+    buffers of half the tensor's size; nothing is allocated here.
+    """
+    kind = gate.kind
+    if kind is GateKind.BARRIER:
+        return 1.0
+    if kind is GateKind.RCCX:
+        factor = 1.0
+        for g in rccx_decomposition(*gate.qubits):
+            factor *= _apply_gate(tensor, g, n, scratch)
+        return factor
+    # a, b: the target = 0 and target = 1 halves with every control at 1.
+    # The trailing ... keeps them views even when every axis is fixed.
+    idx = [slice(None)] * n
+    for c in gate.controls:
+        idx[n - 1 - c] = 1
+    t = n - 1 - gate.target
+    idx[t] = 0
+    a = tensor[(*idx, ...)]
+    idx[t] = 1
+    b = tensor[(*idx, ...)]
+    if kind is GateKind.RZ:
+        b *= cmath.exp(1j * gate.angle)
+        return cmath.exp(-0.5j * gate.angle)
+    tmp = scratch[0][:a.size].reshape(a.shape)
+    if kind is GateKind.H:
+        np.add(a, b, out=tmp)
+        np.subtract(a, b, out=b)
+        np.copyto(a, tmp)
+        return _SQRT_HALF
+    if kind in _SWAP_KINDS:
+        np.copyto(tmp, a)
+        np.copyto(a, b)
+        np.copyto(b, tmp)
+        return 1.0
+    u = _target_matrix(gate)
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        if u[0, 0] != 1:
+            a *= u[0, 0]
+        if u[1, 1] != 1:
+            b *= u[1, 1]
+        return 1.0
+    tmp2 = scratch[1][:a.size].reshape(a.shape)
+    np.multiply(a, u[0, 0], out=tmp)
+    np.multiply(b, u[0, 1], out=tmp2)
+    tmp += tmp2
+    np.multiply(a, u[1, 0], out=tmp2)
+    b *= u[1, 1]
+    b += tmp2
+    np.copyto(a, tmp)
+    return 1.0
+
+
+def _run(tensor: np.ndarray, circuit: Circuit) -> None:
+    """Apply every gate of `circuit` in place to `tensor`."""
+    half = tensor.size // 2
+    scratch = (np.empty(half, dtype=complex), np.empty(half, dtype=complex))
+    factor = 1.0
+    for g in circuit.gates:
+        factor *= _apply_gate(tensor, g, circuit.num_qubits, scratch)
+        if abs(factor) < _FACTOR_FLOOR:
+            tensor *= factor
+            factor = 1.0
+    if factor != 1.0:
+        tensor *= factor
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a statevector of dimension 2**num_qubits."""
+    """Apply the circuit to a statevector of dimension 2**num_qubits.
+
+    The caller's array is left unchanged; real input is accepted.
+    """
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise CapacityError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
     if state.shape != (2 ** n,):
         raise ValueError("statevector dimension mismatch")
-    tensor = state.reshape((2,) * n).astype(complex)
-    for g in circuit.gates:
-        tensor = _apply_gate(tensor, g, n)
+    tensor = state.astype(complex).reshape((2,) * n)
+    _run(tensor, circuit)
     return tensor.reshape(-1)
 
 
@@ -140,8 +232,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         raise CapacityError(f"{n} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
     dim = 2 ** n
     tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in circuit.gates:
-        tensor = _apply_gate(tensor, g, n)
+    _run(tensor, circuit)
     return tensor.reshape(dim, dim)
 
 
@@ -241,25 +332,13 @@ def align_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return u * (rr / abs(rr)) * (abs(ru) / ru)
 
 
-def _block_and_leak(circuit: Circuit, width: int) -> tuple[np.ndarray, float]:
+def data_block(circuit: Circuit, width: int) -> tuple[np.ndarray, float]:
     """Unitary restricted to the ancilla-zero subspace of the first `width` qubits,
     and the largest population it leaves on a nonzero ancilla output."""
     u = unitary_of(circuit)
     dim = 2 ** width
     leak = np.abs(u[dim:, :dim]) ** 2
     return u[:dim, :dim], float(leak.max()) if leak.size else 0.0
-
-
-def _data_block(circuit: Circuit, width: int) -> np.ndarray:
-    """Unitary restricted to the ancilla-zero subspace of the first `width` qubits.
-
-    Verifies that ancilla-zero inputs produce no population on nonzero
-    ancilla outputs.
-    """
-    block, leak = _block_and_leak(circuit, width)
-    if leak > math.sqrt(ANCILLA_LEAK_TOL):
-        raise AssertionError("ancilla contract violated: population left outside |0..0>")
-    return block
 
 
 def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
@@ -271,7 +350,11 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
     of the two data widths and every higher wire must start and end in |0>.
     With `ancillas_zero`, a circuit that leaves population outside that
     subspace fails the check, with a reported deviation no smaller than the leak.
+    Circuits of at most FULL_UNITARY_MAX_QUBITS wires also get the full-unitary
+    check.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     width = min(a.num_data_qubits, b.num_data_qubits)
     if max(a.num_qubits, b.num_qubits) > STATEVECTOR_QUBIT_CAP:
         raise CapacityError("width exceeds statevector cap")
@@ -295,8 +378,8 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
         worst = max(worst, 1.0 - fidelity)
         if fidelity < 1.0 - PHASE_TOL:
             ok = False
-    if max(a.num_qubits, b.num_qubits) <= 10:
-        (ua, leak_a), (ub, leak_b) = _block_and_leak(a, width), _block_and_leak(b, width)
+    if max(a.num_qubits, b.num_qubits) <= FULL_UNITARY_MAX_QUBITS:
+        (ua, leak_a), (ub, leak_b) = data_block(a, width), data_block(b, width)
         leak = max(leak_a, leak_b)
         if ancillas_zero and leak > math.sqrt(ANCILLA_LEAK_TOL):
             return False, float(max(worst, leak))
@@ -308,8 +391,16 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
 
 
 def trotter_error(params, step_circuit: Circuit, steps: int = 1) -> float:
-    """Spectral-norm distance between the step circuit and exp(-i H steps tau)."""
-    return evolution_error(params, _data_block(step_circuit, params.n), steps)
+    """Spectral-norm distance between the step circuit and exp(-i H steps tau).
+
+    Raises AncillaLeakError when the circuit leaves population outside the
+    ancilla-zero subspace.
+    """
+    u, leak = data_block(step_circuit, params.n)
+    if leak > math.sqrt(ANCILLA_LEAK_TOL):
+        raise AncillaLeakError(
+            f"ancilla contract violated: population {leak:.3e} left outside |0..0>")
+    return evolution_error(params, u, steps)
 
 
 def evolution_error(params, u: np.ndarray, steps: int = 1) -> float:

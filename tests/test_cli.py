@@ -140,6 +140,40 @@ def test_verify_pair_pass_and_fail(built, tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(built, capsys, trials):
+    code, out, err = run(capsys, "verify", "--a", str(built), "--b", str(built),
+                         "--trials", trials)
+    assert code == 2
+    assert "trials" in err and "pass" not in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_optimize_verify_rejects_nonpositive_trials(built, tmp_path, capsys, trials):
+    code, out, err = run(capsys, "optimize", "--in", str(built),
+                         "--out", str(tmp_path / "opt.mlco"), "--verify",
+                         "--trials", trials)
+    assert code == 2
+    assert "trials" in err and "verification:" not in out
+
+
+def test_verify_reports_checks_run(built, tmp_path, capsys):
+    opt = tmp_path / "opt.mlco"
+    code, out, _ = run(capsys, "optimize", "--in", str(built), "--out", str(opt),
+                       "--verify", "--trials", "3")
+    assert code == 0 and "(3 random states + full unitary)" in out
+    code, out, _ = run(capsys, "verify", "--a", str(built), "--b", str(opt))
+    assert code == 0 and "(20 random states + full unitary)" in out
+    wide, wide_opt = tmp_path / "wide.mlco", tmp_path / "wide_opt.mlco"
+    run(capsys, "build", "-n", "7", "--out", str(wide))
+    run(capsys, "optimize", "--in", str(wide), "--out", str(wide_opt), "--no-verify")
+    assert read_circuit(wide_opt.read_bytes()).num_qubits \
+        > sim.FULL_UNITARY_MAX_QUBITS
+    code, out, _ = run(capsys, "verify", "--a", str(wide), "--b", str(wide_opt),
+                       "--trials", "2")
+    assert code == 0 and out.rstrip().endswith("(2 random states)")
+
+
 @pytest.fixture
 def dirty(built, tmp_path, capsys):
     """The optimized n=6, k=2 circuit with its first CX onto an ancilla deleted:
@@ -158,8 +192,8 @@ def dirty(built, tmp_path, capsys):
 
 def test_verify_pair_fails_on_dirty_ancillas(built, dirty, capsys):
     mutant = read_circuit(dirty.read_bytes())
-    with pytest.raises(AssertionError, match="ancilla"):
-        sim._data_block(mutant, mutant.num_data_qubits)
+    with pytest.raises(sim.AncillaLeakError, match="ancilla"):
+        sim.trotter_error(PdeParams(n=mutant.num_data_qubits), mutant)
     code, out, _ = run(capsys, "verify", "--a", str(built), "--b", str(dirty))
     assert code == 1 and "FAIL" in out
 
