@@ -17,14 +17,10 @@ from . import report as report_mod
 from . import sim
 from .build import H2Order, PdeParams, WingStyle, build_one_step, build_steps, compose_steps
 from .ir import (
-    HIGS, LOGS, MIGS, Circuit, CircuitError, census, conforms,
+    MIGS, Circuit, CircuitError, census, conforms,
     read_circuit, write_circuit, write_qasm,
 )
-from .passes import (
-    DEFAULT_CONFIG, HIGS_RULE_NAMES, MIGS_RULE_NAMES, COST_MODEL, PassConfig,
-    decompose_to_logs, lower_to_logs, lower_vchain, optimize_logs,
-    replace_ccx_with_rccx, simplify,
-)
+from .passes import DEFAULT_CONFIG, DETO_PASSES, MLCO_PASSES, PassConfig, run_passes
 
 VERIFY_DEFAULT_MAX_QUBITS = 8
 
@@ -64,42 +60,9 @@ def cmd_build(args) -> int:
     return 0
 
 
-_LEVELS = {"higs": HIGS, "migs": MIGS, "logs": LOGS}
-
-
-def _optimize_mlco(circ: Circuit, to: str, config: PassConfig):
-    stages = []
-    current = circ
-    if not conforms(current, MIGS):  # still has >2-control gates
-        current = simplify(current, HIGS_RULE_NAMES, config)
-        stages.append(("HiGS simplified", current))
-        if to == "higs":
-            return current, stages
-        current = lower_vchain(current)
-        stages.append(("MiGS input", current))
-    elif to == "higs":
-        current = simplify(current, HIGS_RULE_NAMES, config)
-        stages.append(("HiGS simplified", current))
-        return current, stages
-    current = simplify(current, MIGS_RULE_NAMES, config)
-    stages.append(("MiGS simplified", current))
-    if to == "migs":
-        return current, stages
-    current = replace_ccx_with_rccx(current, config)
-    stages.append(("MiGS replaced", current))
-    current = lower_to_logs(current)
-    stages.append(("LoGS input", current))
-    current = optimize_logs(current, config)
-    stages.append(("LoGS target", current))
-    return current, stages
-
-
-def _optimize_deto(circ: Circuit, config: PassConfig):
-    cost_model_cx = sum(COST_MODEL.gate_cost(g) for g in circ.gates)
-    lowered = decompose_to_logs(circ)
-    optimized = optimize_logs(lowered, config)
-    stages = [("LoGS input", lowered), ("LoGS target", optimized)]
-    return optimized, stages, cost_model_cx
+# The last stage of each --to level in the MLCO pass list.
+_LAST_STAGE = {"higs": "HiGS simplified", "migs": "MiGS simplified",
+               "logs": "LoGS target"}
 
 
 def _checks_ran(a: Circuit, b: Circuit, trials: int) -> str:
@@ -112,18 +75,25 @@ def cmd_optimize(args) -> int:
     config = _load_config(args.config)
     circ = read_circuit(Path(args.infile).read_bytes())
     if args.strategy == "mlco":
-        out, stages = _optimize_mlco(circ, args.to, config)
+        # A MiGS-conformant input starts at MiGS simplification unless the
+        # HiGS stage is asked for.
+        names = [name for name, _ in MLCO_PASSES]
+        start = 0 if args.to == "higs" or not conforms(circ, MIGS) \
+            else names.index("MiGS simplified")
+        stop = names.index(_LAST_STAGE[args.to]) + 1
+        out, stages = run_passes(circ, MLCO_PASSES[start:stop], config=config)
     else:
         if args.to != "logs":
             print("deto strategy always lowers to logs", file=sys.stderr)
             return 2
-        out, stages, cost_cx = _optimize_deto(circ, config)
-        print(f"cost-model CX: {cost_cx}")
+        out, stages = run_passes(circ, DETO_PASSES, config=config)
+        print(f"cost-model CX: {census(circ).total_cx_after_naive_lowering}")
     Path(args.out).write_bytes(write_circuit(out))
     lines = []
-    for name, c in stages:
-        body = ", ".join(f"{k}:{v}" for k, v in sorted(census(c).counts.items()))
-        lines.append(f"{name:20s} {body}")
+    for stage in stages:
+        body = ", ".join(f"{k}:{v}"
+                         for k, v in sorted(census(stage.circuit).counts.items()))
+        lines.append(f"{stage.name:20s} {body}")
     print("\n".join(lines))
     if args.report:
         Path(args.report).write_text("\n".join(lines) + "\n")
@@ -200,7 +170,7 @@ def cmd_sweep(args) -> int:
 def cmd_table1(args) -> int:
     rows = report_mod.reproduce_table1(style=WingStyle(args.wing))
     print(report_mod.format_table1(rows), end="")
-    ratio = report_mod.reduction_ratio(style=WingStyle(args.wing))
+    ratio = report_mod.reduction_ratio(rows[-1].report.census)
     print(f"per-step CX reduction vs DETO reference "
           f"({report_mod.DETO_REFERENCE_PER_STEP}): {100 * ratio:.1f}%")
     return 0 if all(r.passed for r in rows) else 1

@@ -274,8 +274,6 @@ LOGS = GateSetLevel("LoGS", 1, frozenset({
     GateKind.RZ, GateKind.X, GateKind.H, GateKind.CX, GateKind.BARRIER,
 }))
 
-LEVELS = {lvl.name.lower(): lvl for lvl in (HIGS, MIGS, LOGS)}
-
 
 def conforms(circuit: Circuit, level: GateSetLevel) -> bool:
     """True iff every gate's kind is allowed and its control count fits."""
@@ -290,9 +288,12 @@ def conforms(circuit: Circuit, level: GateSetLevel) -> bool:
 # ---------------------------------------------------------------------------
 # Census
 
-# CX cost of each entangling kind under the fixed LoGS decompositions.
+# CX cost of each entangling kind under the fixed LoGS decompositions; with
+# `mcrz_cx_cost` for C{k}RZ, the one CX price table.  MCX has no LoGS
+# decomposition and is priced 0.
 FIXED_CX_COST = {
-    "CCX": 6, "RCCX": 3, "CCRZ": 4, "CRZ": 2, "CZ": 1, "CY": 1, "CX": 1,
+    "CCX": 6, "RCCX": 3, "CCRZ": 4, "CRZ": 2, "CS": 2, "CSdg": 2,
+    "CZ": 1, "CY": 1, "CX": 1,
 }
 
 
@@ -353,10 +354,7 @@ def _census_key(gate: Gate) -> str | None:
         return None
     if gate.kind is GateKind.MCRZ:
         return f"C{len(gate.controls)}RZ"
-    if gate.kind in (GateKind.CX, GateKind.CZ, GateKind.CY, GateKind.CRZ,
-                     GateKind.CCX, GateKind.RCCX, GateKind.CCRZ):
-        return gate.kind.value
-    return "other-entangling"
+    return gate.kind.value
 
 
 def census(circuit: Circuit) -> GateCensus:

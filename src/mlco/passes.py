@@ -12,7 +12,7 @@ import bisect
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,18 @@ from .build import (
     compose_steps, step_orders,
 )
 from .ir import (
-    FIXED_CX_COST, HIGS, LOGS, MIGS, ROTATION_KINDS,
-    Circuit, CircuitError, Gate, GateKind,
-    ccx, census, commutes, conforms, crz, cs, csdg, cx, cz, h,
-    mcrz_cx_cost, rccx, rccx_decomposition, rz, s, sdg, x,
+    HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
+    ccx, census, commutes, conforms, cs, csdg, cx, cz, h,
+    rccx, rccx_decomposition, rz, s, sdg, x,
 )
 
 
 class ConformanceError(CircuitError):
     """Input circuit does not conform to the pass's required gate-set level."""
+
+
+class FixpointCapError(CircuitError):
+    """A fixpoint loop used up ``max_fixpoint_iterations`` without reaching its fixpoint."""
 
 
 @dataclass(frozen=True)
@@ -73,32 +76,6 @@ class PassConfig:
 DEFAULT_CONFIG = PassConfig()
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """CX cost of each gate under the reference one-shot decompositions."""
-
-    fixed: dict[str, int] = field(default_factory=lambda: dict(FIXED_CX_COST))
-
-    def mcrz(self, k: int) -> int:
-        return mcrz_cx_cost(k)
-
-    def gate_cost(self, gate: Gate) -> int:
-        if gate.kind is GateKind.BARRIER or not gate.controls:
-            return 0
-        if gate.kind in (GateKind.MCRZ,):
-            return self.mcrz(len(gate.controls))
-        if gate.kind in (GateKind.CRZ,):
-            return self.mcrz(1)
-        return self.fixed.get(gate.kind.value, 1)
-
-    def deto_step_cx(self, n: int) -> int:
-        """Cost-model CX per step: every backbone decomposed in place, plus wings."""
-        return sum(self.mcrz(k) for k in range(1, n)) + n * (n - 1)
-
-
-COST_MODEL = CostModel()
-
-
 # ---------------------------------------------------------------------------
 # Commutation-aware cancellation
 
@@ -118,9 +95,9 @@ def _inverse_pair(a: Gate, b: Gate) -> bool:
 
 def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Circuit:
     """Cancel inverse pairs and merge rotations across commuting gates, to fixpoint."""
-    tol = config.angle_merge_tolerance
+    tol, cap = config.angle_merge_tolerance, config.max_fixpoint_iterations
     gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
-    for _ in range(config.max_fixpoint_iterations):
+    for _ in range(cap):
         changed = False
         gates = [g for g in gates
                  if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
@@ -160,8 +137,9 @@ def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Ci
             else:
                 i += 1
         if not changed:
-            break
-    return circuit.with_gates(gates)
+            return circuit.with_gates(gates)
+    raise FixpointCapError(f"cancel_adjacent: no fixpoint after {cap} sweeps "
+                           f"(max_fixpoint_iterations={cap})")
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +189,7 @@ def _rule(name: str, wires: int, pattern: list[Gate], replacement: list[Gate]) -
 
 def _build_registry() -> dict[str, RewriteRule]:
     rules = [
-        # Three CX in a ladder contract to two.
-        _rule("cx-ladder", 3,
-              [cx(0, 1), cx(1, 2), cx(0, 1)],
-              [cx(1, 2), cx(0, 2)]),
-        _rule("cx-ladder-rev", 3,
-              [cx(0, 1), cx(2, 0), cx(0, 1)],
-              [cx(2, 0), cx(2, 1)]),
+        # Three CX in a stair contract to two.
         _rule("cx-stair", 3,
               [cx(0, 2), cx(1, 2), cx(0, 1)],
               [cx(0, 1), cx(1, 2)]),
@@ -236,24 +208,18 @@ def _build_registry() -> dict[str, RewriteRule]:
         _rule("cz-cx-fuse", 2,
               [cz(0, 1), cx(0, 1)],
               [sdg(1), cx(0, 1), s(1), sdg(0)]),
-        _rule("cz-cx-fuse-flip", 2,
-              [cz(0, 1), cx(1, 0)],
-              [sdg(0), cx(1, 0), s(0), sdg(1)]),
         _rule("cx-cz-fuse", 2,
               [cx(0, 1), cz(0, 1)],
               [sdg(1), cx(0, 1), s(1), s(0)]),
-        _rule("cx-cz-fuse-flip", 2,
-              [cx(1, 0), cz(0, 1)],
-              [sdg(0), cx(1, 0), s(0), s(1)]),
     ]
     return {r.name: r for r in rules}
 
 
 RULES: dict[str, RewriteRule] = _build_registry()
 
-HIGS_RULE_NAMES = ("cx-ladder", "cx-ladder-rev", "cx-stair", "cx-stair-rev", "cx-x-cx")
+HIGS_RULE_NAMES = ("cx-stair", "cx-stair-rev", "cx-x-cx")
 MIGS_RULE_NAMES = ("ccx-x-ccx",)
-FUSION_RULE_NAMES = ("cz-cx-fuse", "cz-cx-fuse-flip", "cx-cz-fuse", "cx-cz-fuse-flip")
+FUSION_RULE_NAMES = ("cz-cx-fuse", "cx-cz-fuse")
 
 
 def rules_named(names) -> list[RewriteRule]:
@@ -400,14 +366,15 @@ def apply_rules(circuit: Circuit, rules: list[RewriteRule],
             raise CircuitError(f"rule {rule.name!r} is not certified")
     if config.enabled_rules is not None:
         rules = [r for r in rules if r.name in config.enabled_rules]
+    cap = config.max_fixpoint_iterations
     circ = cancel_adjacent(circuit, config)
-    for _ in range(config.max_fixpoint_iterations):
-        gates = list(circ.gates)
-        rewritten = _rewrite_once(gates, rules)
+    for _ in range(cap):
+        rewritten = _rewrite_once(list(circ.gates), rules)
         if rewritten is None:
             return circ
         circ = cancel_adjacent(circ.with_gates(rewritten), config)
-    return circ
+    raise FixpointCapError(f"apply_rules: no fixpoint after {cap} rewrites "
+                           f"(max_fixpoint_iterations={cap})")
 
 
 def simplify(circuit: Circuit, rule_names, config: PassConfig = DEFAULT_CONFIG) -> Circuit:
@@ -611,55 +578,59 @@ class Stage:
     seconds: float = 0.0
 
 
-def one_step_migs(params: PdeParams, style: WingStyle, order: H2Order,
-                  config: PassConfig = DEFAULT_CONFIG) -> list[Stage]:
-    """Build one step and push it through HiGS and MiGS simplification."""
+# The passes in level order, as (stage name, pass); every pass takes
+# (circuit, config).  Each entry looks its pass up in this module when it
+# runs, so a pass replaced on the module is the one that runs.
+MLCO_PASSES = (
+    ("HiGS simplified", lambda c, config: simplify(c, HIGS_RULE_NAMES, config)),
+    ("MiGS input", lambda c, config: lower_vchain(c)),
+    ("MiGS simplified", lambda c, config: simplify(c, MIGS_RULE_NAMES, config)),
+    ("MiGS replaced", lambda c, config: replace_ccx_with_rccx(c, config)),
+    ("LoGS input", lambda c, config: lower_to_logs(c)),
+    ("LoGS target", lambda c, config: optimize_logs(c, config)),
+)
+DETO_PASSES = (
+    ("LoGS input", lambda c, config: decompose_to_logs(c)),
+    ("LoGS target", lambda c, config: optimize_logs(c, config)),
+)
+
+
+def run_passes(circuit: Circuit, named_passes, prefix: str = "",
+               config: PassConfig = DEFAULT_CONFIG) -> tuple[Circuit, list[Stage]]:
+    """Run `named_passes` in order; returns the last circuit and a timed stage per pass."""
     stages: list[Stage] = []
-    tick = time.perf_counter()
-
-    def record(name: str, circ: Circuit) -> Circuit:
-        nonlocal tick
-        now = time.perf_counter()
-        stages.append(Stage(name, circ, now - tick))
-        tick = now
-        return circ
-
-    source = record("1-step source",
-                    build_one_step(params, style, order).without_barriers())
-    higs = record("1-step HiGS simplified", simplify(source, HIGS_RULE_NAMES, config))
-    migs_in = record("1-step MiGS input", lower_vchain(higs))
-    record("1-step MiGS simplified", simplify(migs_in, MIGS_RULE_NAMES, config))
-    return stages
+    for name, run in named_passes:
+        tick = time.perf_counter()
+        circuit = run(circuit, config)
+        stages.append(Stage(prefix + name, circuit, time.perf_counter() - tick))
+    return circuit, stages
 
 
 def pipeline_mlco(params: PdeParams, steps: int, style: WingStyle,
                   config: PassConfig = DEFAULT_CONFIG) -> tuple[Circuit, list[Stage]]:
-    """Full multilevel pipeline; returns the LoGS circuit and every stage."""
+    """Full multilevel pipeline; returns the LoGS circuit and its stages.
+
+    Each distinct step is built and simplified through MiGS once; the
+    stages of the first step come first, then those of the composed steps.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     orders = step_orders(steps)
-    per_step = [one_step_migs(params, style, o, config) for o in orders]
-    stages = list(per_step[0])
-    simplified_steps = [chain[-1].circuit for chain in per_step]
+    one_step: dict[H2Order, tuple[Circuit, list[Stage]]] = {}
+    for order in dict.fromkeys(orders):
+        tick = time.perf_counter()
+        source = build_one_step(params, style, order).without_barriers()
+        built = Stage("1-step source", source, time.perf_counter() - tick)
+        simplified, chain = run_passes(source, MLCO_PASSES[:3], "1-step ", config)
+        one_step[order] = simplified, [built] + chain
+    stages = one_step[orders[0]][1]
     tick = time.perf_counter()
-
-    def record(name: str, circ: Circuit) -> Circuit:
-        nonlocal tick
-        now = time.perf_counter()
-        stages.append(Stage(name, circ, now - tick))
-        tick = now
-        return circ
-
-    composed = compose_steps(simplified_steps)
+    composed = compose_steps([one_step[o][0] for o in orders])
     if steps > 1:
-        composed = record(f"{steps}-step MiGS composed", composed)
-    migs_simplified = record(f"{steps}-step MiGS simplified",
-                             simplify(composed, MIGS_RULE_NAMES, config))
-    replaced = record(f"{steps}-step MiGS replaced",
-                      replace_ccx_with_rccx(migs_simplified, config))
-    lowered = record(f"{steps}-step LoGS input", lower_to_logs(replaced))
-    optimized = record(f"{steps}-step LoGS target", optimize_logs(lowered, config))
-    return optimized, stages
+        stages.append(Stage(f"{steps}-step MiGS composed", composed,
+                            time.perf_counter() - tick))
+    final, rest = run_passes(composed, MLCO_PASSES[2:], f"{steps}-step ", config)
+    return final, stages + rest
 
 
 def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
@@ -667,15 +638,16 @@ def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
                   config: PassConfig = DEFAULT_CONFIG):
     """Decompose-then-optimize baseline.
 
-    cost-model: returns (None, predicted CX count) without building anything.
-    executable: gray-code-decomposes every backbone ancilla-free, optimizes,
-    and returns (circuit, CX count); counts differ from the cost model by
-    design.
+    cost-model: returns (None, predicted CX count), the naive-lowered CX of
+    the source steps.  executable: gray-code-decomposes every backbone
+    ancilla-free, optimizes, and returns (circuit, CX count); counts differ
+    from the cost model by design.
     """
     if mode == "cost-model":
-        return None, steps * COST_MODEL.deto_step_cx(params.n)
+        step = census(build_one_step(params, style))
+        return None, steps * step.total_cx_after_naive_lowering
     if mode != "executable":
         raise ValueError(f"unknown DETO mode {mode!r}")
-    lowered = decompose_to_logs(build_steps(params, steps, style))
-    optimized = optimize_logs(lowered, config)
+    optimized, _ = run_passes(build_steps(params, steps, style), DETO_PASSES,
+                              config=config)
     return optimized, census(optimized)["CX"]

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from mlco import sim
+from mlco import report, sim
 from mlco.build import PdeParams, WingStyle
 from mlco.cli import main
 from mlco.ir import LOGS, census, conforms, read_circuit, write_circuit
-from mlco.passes import pipeline_deto
+from mlco.passes import pipeline_deto, pipeline_mlco
 
 
 def run(capsys, *argv):
@@ -56,6 +56,30 @@ def test_optimize_mlco_to_logs_with_verify(built, tmp_path, capsys):
     opt = read_circuit(out_path.read_bytes())
     assert conforms(opt, LOGS)
     assert census(opt)["CX"] <= 78
+
+
+@pytest.mark.parametrize("wing", ["stair", "spray"])
+def test_optimize_mlco_matches_pipeline_mlco(tmp_path, capsys, wing):
+    src, out_path = tmp_path / "src.mlco", tmp_path / "opt.mlco"
+    run(capsys, "build", "-n", "6", "-k", "2", "--wing", wing, "--out", str(src))
+    code, _, _ = run(capsys, "optimize", "--in", str(src), "--out", str(out_path),
+                     "--no-verify")
+    assert code == 0
+    expected, _ = pipeline_mlco(PdeParams(n=6), 2, WingStyle(wing))
+    got = read_circuit(out_path.read_bytes())
+    assert [(g.kind, g.controls, g.target, g.angle) for g in got.gates] \
+        == [(g.kind, g.controls, g.target, g.angle) for g in expected.gates]
+    assert (got.num_qubits, got.num_ancillas) \
+        == (expected.num_qubits, expected.num_ancillas)
+
+
+def test_optimize_exits_2_when_fixpoint_cap_is_hit(built, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_fixpoint_iterations": 1}))
+    code, _, err = run(capsys, "optimize", "--in", str(built), "--config", str(cfg),
+                       "--out", str(tmp_path / "o.mlco"), "--no-verify")
+    assert code == 2
+    assert "max_fixpoint_iterations" in err
 
 
 def test_optimize_to_migs_stops_early(built, tmp_path, capsys):
@@ -232,6 +256,19 @@ def test_table1(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "reduction" in out
+
+
+def test_table1_runs_pipeline_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pipeline_mlco(*args, **kwargs)
+
+    monkeypatch.setattr(report, "pipeline_mlco", counting)
+    code, out, _ = run(capsys, "table1")
+    assert code == 0 and "reduction" in out
+    assert len(calls) == 1
 
 
 def test_missing_file_is_usage_error(capsys):

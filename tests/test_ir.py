@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlco import sim
+from mlco import ir, passes, sim
+from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
-    HIGS, LOGS, MIGS, Circuit, CircuitError, Gate, GateCensus, GateKind,
-    ParseError, UnsupportedGateError, barrier, ccrz, ccx, census, commutes,
-    conforms, crz, cs, cx, cz, h, inverse, mcrz, mcrz_cx_cost, rccx,
-    rccx_decomposition, read_circuit, rx, rz, s, sdg, write_circuit,
+    FIXED_CX_COST, HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate,
+    GateCensus, GateKind, ParseError, UnsupportedGateError, barrier, ccrz, ccx,
+    census, commutes, conforms, crz, cs, cx, cz, h, inverse, mcrz, mcrz_cx_cost,
+    rccx, rccx_decomposition, read_circuit, rx, rz, s, sdg, write_circuit,
     write_qasm, x,
 )
 
@@ -173,6 +174,28 @@ def test_naive_lowered_cx_pricing():
     c = census(Circuit(9, (ccrz(0, 1, 8, 0.4),) * 4 + (ccx(0, 1, 2),) * 6
                + (crz(0, 8, 0.4),) + (cx(0, 1),) * 16))
     assert c.total_cx_after_naive_lowering == 4 * 4 + 6 * 6 + 1 * 2 + 16
+
+
+def test_census_gate_costs():
+    def price(*gates):
+        return census(Circuit(6, gates)).total_cx_after_naive_lowering
+    assert price(ccx(0, 1, 2)) == 6
+    assert price(crz(0, 1, 0.2)) == 2
+    assert price(mcrz((0, 1, 2, 3, 4), 5, 0.2)) == 40
+    assert price(h(0)) == 0
+    # The DETO cost model of one n=6 step.
+    assert price(*build_one_step(PdeParams(n=6), WingStyle.STAIR).gates) == 114
+
+
+@pytest.mark.parametrize("kind", [k for k, arity in ir._CONTROL_ARITY.items() if arity],
+                         ids=lambda k: k.value)
+def test_fixed_cx_cost_is_the_logs_decomposition_cost(kind):
+    arity = ir._CONTROL_ARITY[kind]
+    gate = Gate(kind, tuple(range(arity)), arity,
+                0.3 if kind in ROTATION_KINDS else None)
+    spent = sum(g.kind is GateKind.CX for g in passes._lower_gate_logs(gate))
+    assert FIXED_CX_COST[kind.value] == spent
+    assert census(Circuit(3, (gate,))).total_cx_after_naive_lowering == spent
 
 
 def test_mcrz_cx_cost_table():

@@ -11,13 +11,31 @@ from mlco import passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
     Circuit, CircuitError, GateKind, LOGS, MIGS, ROTATION_KINDS, ccrz, ccx,
-    census, commutes, conforms, crz, cs, cx, cz, h, mcrz, rccx, rz, s, x,
+    census, commutes, conforms, crz, cs, cx, cz, h, mcrz, rccx, rz, s, sdg, x,
 )
 from mlco.passes import (
-    COST_MODEL, PassConfig, RULES, ConformanceError, apply_rules,
+    PassConfig, RULES, ConformanceError, FixpointCapError, apply_rules,
     cancel_adjacent, gray_mcrz, lower_to_logs, lower_vchain, optimize_logs,
-    pipeline_deto, pipeline_mlco, replace_ccx_with_rccx, rules_named, simplify,
+    pipeline_deto, pipeline_mlco, replace_ccx_with_rccx, rules_named,
 )
+
+# Matcher fixtures: certified rules that no pipeline registers, since no
+# benchmark or reference input fires them.  Three CX in a ladder contract
+# to two; the flips are the CZ/CX fusions with the CX reversed.
+FIXTURE_RULES = {r.name: r for r in (
+    passes._rule("cx-ladder", 3, [cx(0, 1), cx(1, 2), cx(0, 1)],
+                 [cx(1, 2), cx(0, 2)]),
+    passes._rule("cx-ladder-rev", 3, [cx(0, 1), cx(2, 0), cx(0, 1)],
+                 [cx(2, 0), cx(2, 1)]),
+    passes._rule("cz-cx-fuse-flip", 2, [cz(0, 1), cx(1, 0)],
+                 [sdg(0), cx(1, 0), s(0), sdg(1)]),
+    passes._rule("cx-cz-fuse-flip", 2, [cx(1, 0), cz(0, 1)],
+                 [sdg(0), cx(1, 0), s(0), s(1)]),
+)}
+CX_LADDER = FIXTURE_RULES["cx-ladder"]
+
+# Every rule these tests rewrite with.
+ALL_RULES = {**RULES, **FIXTURE_RULES}
 
 
 def _equiv(a: Circuit, b: Circuit, tol=1e-10) -> bool:
@@ -61,16 +79,16 @@ def test_cancel_drops_barriers():
 # ---------------------------------------------------------------------------
 # rewrite rules
 
-@pytest.mark.parametrize("name", sorted(RULES))
+@pytest.mark.parametrize("name", sorted(ALL_RULES))
 def test_every_rule_is_certified(name):
     # certify() raises on any unitary mismatch or entangling-count increase.
-    certified = RULES[name].certify()
+    certified = ALL_RULES[name].certify()
     assert certified.certified
 
 
-@pytest.mark.parametrize("name", sorted(RULES))
+@pytest.mark.parametrize("name", sorted(ALL_RULES))
 def test_rules_never_add_entangling_gates(name):
-    rule = RULES[name]
+    rule = ALL_RULES[name]
     def weight(circ):
         return sum(1 for g in circ.gates if g.is_entangling)
     assert weight(rule.replacement) <= weight(rule.pattern)
@@ -79,21 +97,21 @@ def test_rules_never_add_entangling_gates(name):
 def test_rule_applies_under_wire_renaming():
     # cx-ladder on renamed wires: [cx(2,0), cx(0,3), cx(2,0)] -> 2 gates.
     c = Circuit(4, (cx(2, 0), cx(0, 3), cx(2, 0)))
-    got = simplify(c, ("cx-ladder",))
+    got = apply_rules(c, [CX_LADDER])
     assert len(got.gates) == 2
     assert _equiv(c, got)
 
 
 def test_rule_applies_across_intervening_commuting_gate():
     c = Circuit(4, (cx(0, 1), rz(3, 0.2), cx(1, 2), cx(0, 1)))
-    got = simplify(c, ("cx-ladder",))
+    got = apply_rules(c, [CX_LADDER])
     assert sum(1 for g in got.gates if g.kind is GateKind.CX) == 2
     assert _equiv(c, got)
 
 
 def test_rule_blocked_by_noncommuting_interloper():
     c = Circuit(3, (cx(0, 1), h(0), cx(1, 2), cx(0, 1)))
-    got = simplify(c, ("cx-ladder",))
+    got = apply_rules(c, [CX_LADDER])
     assert sum(1 for g in got.gates if g.kind is GateKind.CX) == 3
 
 
@@ -108,13 +126,13 @@ def test_rule_blocked_by_noncommuting_interloper():
     ((cx(0, 1), h(2), cx(1, 2), h(0), cx(0, 1)), None, None),
 ])
 def test_find_match_checks_skipped_gates_per_gather(gates, left, right):
-    rule = RULES["cx-ladder"]
+    rule = CX_LADDER
     for gather, want in (("left", left), ("right", right)):
         found = passes._find_match(list(gates), rule, 0, gather)
         positions = found[0] if found is not None else None
         assert positions == want, gather
     c = Circuit(3, gates)
-    assert _equiv(c, simplify(c, ("cx-ladder",)))
+    assert _equiv(c, apply_rules(c, [CX_LADDER]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +233,7 @@ def test_wire_indexed_find_match_equals_full_scan(seed):
     for _ in range(100):
         gates = _random_gates(rng, rng.randint(3, 5), rng.randint(6, 24))
         index = passes._wire_index(gates)
-        for rule in RULES.values():
+        for rule in ALL_RULES.values():
             for gather in ("left", "right"):
                 for start in range(len(gates)):
                     want = _ref_find_match(gates, rule, start, gather)
@@ -253,7 +271,7 @@ def test_unknown_rule_name_rejected():
 def test_enabled_rules_filter():
     cfg = PassConfig(enabled_rules=frozenset({"cx-stair"}))
     c = Circuit(3, (cx(0, 1), cx(1, 2), cx(0, 1)))  # cx-ladder shape
-    got = apply_rules(c, rules_named(("cx-ladder",)), cfg)
+    got = apply_rules(c, [CX_LADDER], cfg)
     assert len(got.gates) == 3  # ladder disabled by the config filter
 
 
@@ -266,9 +284,9 @@ def test_config_validation_and_json():
     with pytest.raises(ValueError):
         PassConfig(max_fixpoint_iterations=0)
     cfg = PassConfig.from_json(json.dumps(
-        {"angle_merge_tolerance": 1e-9, "enabled_rules": ["cx-ladder"]}))
+        {"angle_merge_tolerance": 1e-9, "enabled_rules": ["cx-stair"]}))
     assert cfg.angle_merge_tolerance == 1e-9
-    assert cfg.enabled_rules == frozenset({"cx-ladder"})
+    assert cfg.enabled_rules == frozenset({"cx-stair"})
     assert PassConfig.from_json("{}") == PassConfig()
 
 
@@ -442,9 +460,46 @@ def test_pipeline_deto_modes():
         pipeline_deto(p, 1, WingStyle.STAIR, mode="bogus")
 
 
-def test_cost_model_gate_costs():
-    assert COST_MODEL.gate_cost(ccx(0, 1, 2)) == 6
-    assert COST_MODEL.gate_cost(crz(0, 1, 0.2)) == 2
-    assert COST_MODEL.gate_cost(mcrz((0, 1, 2, 3, 4), 5, 0.2)) == 40
-    assert COST_MODEL.gate_cost(h(0)) == 0
-    assert COST_MODEL.deto_step_cx(6) == 114
+def test_pipeline_simplifies_each_distinct_step_once(monkeypatch):
+    built = []
+
+    def counting(params, style, order):
+        built.append(order)
+        return build_one_step(params, style, order)
+
+    monkeypatch.setattr(passes, "build_one_step", counting)
+    pipeline_mlco(PdeParams(n=5), 4, WingStyle.STAIR)
+    assert len(built) == 2  # one increasing and one decreasing step
+
+
+def test_pass_lists_call_the_module_passes(monkeypatch):
+    # A pass replaced on the module is the one the lists run.
+    calls = []
+
+    def lowering(circuit):
+        calls.append(circuit)
+        return passes.decompose_to_logs(circuit)
+
+    monkeypatch.setattr(passes, "lower_to_logs", lowering)
+    pipeline_mlco(PdeParams(n=4), 1, WingStyle.STAIR)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fixpoint cap
+
+def test_apply_rules_raises_when_cap_cuts_rewriting_short():
+    # Two ladders on disjoint wires need two rewrites and a third,
+    # confirming iteration.
+    ladders = Circuit(6, (cx(0, 1), cx(1, 2), cx(0, 1), cx(3, 4), cx(4, 5), cx(3, 4)))
+    with pytest.raises(FixpointCapError, match="apply_rules.*2"):
+        apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=2))
+    got = apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=3))
+    assert len(got.gates) == 4
+
+
+def test_cancel_adjacent_raises_when_cap_cuts_cancelling_short():
+    pair = Circuit(2, (cx(0, 1), cx(0, 1)))
+    with pytest.raises(FixpointCapError, match="cancel_adjacent.*1"):
+        cancel_adjacent(pair, PassConfig(max_fixpoint_iterations=1))
+    assert cancel_adjacent(pair, PassConfig(max_fixpoint_iterations=2)).gates == ()

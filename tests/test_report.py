@@ -93,7 +93,8 @@ def test_format_sweep_header_and_shape():
     assert lines[1].startswith("6,MLCO,2,78,78,true")
 
 
-def test_reduction_ratio_at_least_61_percent():
-    ratio = reduction_ratio()
+def test_reduction_ratio_at_least_61_percent(table1_rows):
+    target = next(r for r in table1_rows if r.report.name == "2-step LoGS target")
+    ratio = reduction_ratio(target.report.census)
     assert ratio >= 0.61
     assert DETO_REFERENCE_PER_STEP == 102
