@@ -169,7 +169,12 @@ class RewriteRule:
             seen.update(g.qubits)
 
     def certify(self) -> "RewriteRule":
-        """Exact unitary-equivalence check; refuses entangling-count regressions."""
+        """Exact unitary-equivalence check.
+
+        Also refuses a replacement with as many entangling gates as the
+        pattern or more: every rewrite must strictly lower the count, which
+        is what bounds a rewrite sweep.
+        """
         up = sim.unitary_of(self.pattern)
         ur = sim.unitary_of(self.replacement)
         dev = np.abs(sim.align_phase(up, ur) - ur).max()
@@ -177,8 +182,9 @@ class RewriteRule:
             raise CircuitError(f"rule {self.name!r} failed certification: dev={dev:g}")
         n_pat = sum(1 for g in self.pattern.gates if g.is_entangling)
         n_rep = sum(1 for g in self.replacement.gates if g.is_entangling)
-        if n_rep > n_pat:
-            raise CircuitError(f"rule {self.name!r} increases entangling count")
+        if n_rep >= n_pat:
+            raise CircuitError(f"rule {self.name!r} does not lower the entangling "
+                               f"count ({n_pat} -> {n_rep})")
         return RewriteRule(self.name, self.pattern, self.replacement, True)
 
 
@@ -337,30 +343,54 @@ def _apply_binding(circ: Circuit, binding: dict[int, int]) -> list[Gate]:
     return out
 
 
-def _rewrite_once(gates: list[Gate], rules: list[RewriteRule]) -> list[Gate] | None:
-    index = _wire_index(gates)
-    for i in range(len(gates)):
-        for rule in rules:
-            for gather in ("left", "right"):
-                found = _find_match(gates, rule, i, gather, index)
-                if found is None:
-                    continue
-                positions, binding = found
-                replacement = _apply_binding(rule.replacement, binding)
-                pos_set = set(positions)
-                middle = [gates[k] for k in range(positions[0], positions[-1] + 1)
-                          if k not in pos_set]
-                if gather == "left":
-                    body = replacement + middle
-                else:
-                    body = middle + replacement
-                return gates[:positions[0]] + body + gates[positions[-1] + 1:]
+def _first_match(gates: list[Gate], rules: list[RewriteRule], start: int,
+                 index: dict[int, list[int]]):
+    """The first match at `start` as (rule, gather, positions, binding), or None.
+
+    Rules are tried in order, each with gather "left" before "right".
+    """
+    for rule in rules:
+        for gather in ("left", "right"):
+            found = _find_match(gates, rule, start, gather, index)
+            if found is not None:
+                return (rule, gather) + found
     return None
+
+
+def _rewrite_sweep(gates: list[Gate], rules: list[RewriteRule]) -> tuple[list[Gate], int]:
+    """One left-to-right sweep applying every match it meets.
+
+    After a rewrite the sweep tries again at the same start, where the
+    spliced-in body begins.  Returns the rewritten gates and the number of
+    rewrites.  Every certified rule strictly lowers the entangling count, so
+    a sweep makes at most as many rewrites as `gates` has entangling gates.
+    """
+    index = _wire_index(gates)
+    rewrites = 0
+    start = 0
+    while start < len(gates):
+        found = _first_match(gates, rules, start, index)
+        if found is None:
+            start += 1
+            continue
+        rule, gather, positions, binding = found
+        replacement = _apply_binding(rule.replacement, binding)
+        pos_set = set(positions)
+        middle = [gates[k] for k in range(positions[0], positions[-1] + 1)
+                  if k not in pos_set]
+        body = replacement + middle if gather == "left" else middle + replacement
+        gates = gates[:positions[0]] + body + gates[positions[-1] + 1:]
+        index = _wire_index(gates)
+        rewrites += 1
+    return gates, rewrites
 
 
 def apply_rules(circuit: Circuit, rules: list[RewriteRule],
                 config: PassConfig = DEFAULT_CONFIG) -> Circuit:
-    """Interleave rule rewriting with cancellation until a fixed point."""
+    """Interleave rewrite sweeps with cancellation until a sweep rewrites nothing.
+
+    `max_fixpoint_iterations` bounds the sweeps, the confirming one included.
+    """
     for rule in rules:
         if not rule.certified:
             raise CircuitError(f"rule {rule.name!r} is not certified")
@@ -369,11 +399,11 @@ def apply_rules(circuit: Circuit, rules: list[RewriteRule],
     cap = config.max_fixpoint_iterations
     circ = cancel_adjacent(circuit, config)
     for _ in range(cap):
-        rewritten = _rewrite_once(list(circ.gates), rules)
-        if rewritten is None:
+        rewritten, rewrites = _rewrite_sweep(list(circ.gates), rules)
+        if not rewrites:
             return circ
         circ = cancel_adjacent(circ.with_gates(rewritten), config)
-    raise FixpointCapError(f"apply_rules: no fixpoint after {cap} rewrites "
+    raise FixpointCapError(f"apply_rules: no fixpoint after {cap} sweeps "
                            f"(max_fixpoint_iterations={cap})")
 
 

@@ -37,6 +37,15 @@ def mlco_two_step_cx(n: int) -> int:
     return 2 * (10 * n - 21)
 
 
+def mlco_one_step_cx(n: int) -> int:
+    """Closed form for the just-decomposed one-step CX count: 18n - 48.
+
+    This law and the two-step one hold from n = 4; at n = 3 the two-step
+    count is 20, not 18.
+    """
+    return 18 * n - 48
+
+
 def deto_cost_model_cx(n: int) -> int:
     """Closed form for the DETO per-step cost model: 9n^2 - 33n - 36 (n >= 8)."""
     return 9 * n * n - 33 * n - 36
@@ -111,6 +120,9 @@ class SweepRow:
 #: executable DETO baseline is only built up to this size.
 EXECUTABLE_SWEEP_CAP = 10
 
+#: The smallest size the MLCO CX laws hold at.
+MIN_SWEEP_SIZE = 4
+
 
 def scaling_sweep(sizes: list[int], steps: int = 2,
                   style: WingStyle = WingStyle.STAIR,
@@ -118,9 +130,15 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
     """CX-count scaling across sizes for MLCO and the DETO baselines.
 
     MLCO rows report the just-decomposed `steps`-step count against the
-    linear law; DETO rows report per-step counts against the quadratic
-    cost model.
+    linear laws, one two-step count per pair of steps plus one one-step
+    count for an odd step; DETO rows report per-step counts against the
+    quadratic cost model.  Raises ValueError on no sizes or on a size below
+    `MIN_SWEEP_SIZE`, where the linear laws do not hold.
     """
+    if not sizes:
+        raise ValueError("sweep needs at least one size")
+    if min(sizes) < MIN_SWEEP_SIZE:
+        raise ValueError(f"sweep sizes must be >= {MIN_SWEEP_SIZE}, got {min(sizes)}")
     rows: list[SweepRow] = []
     for n in sorted(sizes):
         params = PdeParams(n=n)
@@ -129,7 +147,8 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
         final = stages[-1]
         cx_jd = census(jd.circuit).counts.get("CX", 0)
         cx_final = census(final.circuit).counts.get("CX", 0)
-        predicted = mlco_two_step_cx(n) * steps // 2
+        predicted = ((steps // 2) * mlco_two_step_cx(n)
+                     + (steps % 2) * mlco_one_step_cx(n))
         rows.append(SweepRow(n, "MLCO", steps, cx_jd, predicted,
                              cx_jd == predicted and cx_final <= cx_jd))
         _, cm = pipeline_deto(params, 1, style)

@@ -75,6 +75,19 @@ def test_3_scaling_formulas():
           f"({elapsed:.2f}s)")
 
 
+def test_3_cx_law_at_scale():
+    # Each rewrite sweep applies every match it meets, so the default
+    # fixpoint cap holds at the north-star size.
+    start = time.perf_counter()
+    for n in (40, 48, 64):
+        stages = _stage_map(n=n)
+        assert census(stages["2-step LoGS input"])["CX"] == mlco_two_step_cx(n), n
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0
+    print(f"\nPASS criterion 3 at scale: 2(10n-21) exact at n = 40, 48, 64 "
+          f"({elapsed:.2f}s)")
+
+
 def test_4_every_stage_preserves_semantics():
     start = time.perf_counter()
     for n in (4, 5, 6):

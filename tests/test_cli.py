@@ -251,6 +251,22 @@ def test_sweep(tmp_path, capsys):
         == "n,strategy,steps,cx_final,cx_predicted,match"
 
 
+@pytest.mark.parametrize("steps, want", [("1", "6,MLCO,1,60,60,true"),
+                                         ("3", "6,MLCO,3,138,138,true")])
+def test_sweep_predicts_odd_step_counts(capsys, steps, want):
+    code, out, _ = run(capsys, "sweep", "--sizes", "6", "--steps", steps)
+    assert code == 0
+    assert want in out.splitlines()
+
+
+@pytest.mark.parametrize("sizes", ["3", "2,6", ",,", ""])
+def test_sweep_rejects_sizes_the_laws_do_not_cover(capsys, sizes):
+    code, out, err = run(capsys, "sweep", "--sizes", sizes)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sweep")
+
+
 def test_table1(capsys):
     code, out, _ = run(capsys, "table1")
     assert code == 0

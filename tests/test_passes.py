@@ -255,6 +255,12 @@ def test_wire_skipping_cancel_adjacent_equals_full_scan(seed):
     assert acted > 10
 
 
+def test_certify_refuses_rule_that_keeps_entangling_count():
+    # A rewrite that does not lower the count could fire forever in one sweep.
+    with pytest.raises(CircuitError, match="does not lower"):
+        passes._rule("cz-flip", 2, [cz(0, 1)], [cz(1, 0)])
+
+
 def test_rule_pattern_must_be_wire_connected():
     # The second CX shares no wire with the first.
     with pytest.raises(CircuitError, match="shares no wire"):
@@ -486,15 +492,87 @@ def test_pass_lists_call_the_module_passes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Rewrite sweeps against the one-rewrite-per-iteration engine they replaced
+
+def _ref_rewrite_once(gates, rules):
+    index = passes._wire_index(gates)
+    for i in range(len(gates)):
+        for rule in rules:
+            for gather in ("left", "right"):
+                found = passes._find_match(gates, rule, i, gather, index)
+                if found is None:
+                    continue
+                positions, binding = found
+                replacement = passes._apply_binding(rule.replacement, binding)
+                pos_set = set(positions)
+                middle = [gates[k] for k in range(positions[0], positions[-1] + 1)
+                          if k not in pos_set]
+                if gather == "left":
+                    body = replacement + middle
+                else:
+                    body = middle + replacement
+                return gates[:positions[0]] + body + gates[positions[-1] + 1:]
+    return None
+
+
+def _ref_apply_rules(circuit, rules, config=passes.DEFAULT_CONFIG):
+    # One rewrite per iteration, restarting from gate 0 after each.
+    if config.enabled_rules is not None:
+        rules = [r for r in rules if r.name in config.enabled_rules]
+    circ = passes.cancel_adjacent(circuit, config)
+    for _ in range(config.max_fixpoint_iterations):
+        rewritten = _ref_rewrite_once(list(circ.gates), rules)
+        if rewritten is None:
+            return circ
+        circ = passes.cancel_adjacent(circ.with_gates(rewritten), config)
+    raise FixpointCapError("reference apply_rules: no fixpoint")
+
+
+def _entangling(circ):
+    return sum(1 for g in circ.gates if g.is_entangling)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rewrite_sweeps_match_one_rewrite_engine(seed):
+    rng = random.Random(200 + seed)
+    rules = list(ALL_RULES.values())
+    rewritten = 0
+    for _ in range(100):
+        wires = rng.randint(3, 5)
+        c = Circuit(wires, tuple(_random_gates(rng, wires, rng.randint(6, 24))))
+        want = _ref_apply_rules(c, rules)
+        got = apply_rules(c, rules)
+        assert _entangling(got) <= _entangling(want)
+        u_want = sim.unitary_of(want)
+        assert np.abs(sim.align_phase(sim.unitary_of(got), u_want) - u_want).max() < 1e-10
+        rewritten += _entangling(want) < _entangling(passes.cancel_adjacent(c))
+    assert rewritten > 20  # the circuits exercise rewrites, not only rejections
+
+
+@pytest.mark.parametrize("style", ["stair", "spray"])
+def test_rewrite_sweeps_keep_every_pipeline_stage(style, monkeypatch):
+    def stages(n, k):
+        final, chain = pipeline_mlco(PdeParams(n=n), k, WingStyle(style))
+        return [_exact(final.gates)] + [(s.name, _exact(s.circuit.gates)) for s in chain]
+
+    for n in (4, 5, 6, 7, 8):
+        for k in (1, 2, 3):
+            got = stages(n, k)
+            with monkeypatch.context() as m:
+                m.setattr(passes, "apply_rules", _ref_apply_rules)
+                assert stages(n, k) == got, (n, k)
+
+
+# ---------------------------------------------------------------------------
 # Fixpoint cap
 
 def test_apply_rules_raises_when_cap_cuts_rewriting_short():
-    # Two ladders on disjoint wires need two rewrites and a third,
-    # confirming iteration.
+    # One sweep rewrites both ladders on disjoint wires; a second sweep
+    # confirms the fixpoint.
     ladders = Circuit(6, (cx(0, 1), cx(1, 2), cx(0, 1), cx(3, 4), cx(4, 5), cx(3, 4)))
-    with pytest.raises(FixpointCapError, match="apply_rules.*2"):
-        apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=2))
-    got = apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=3))
+    with pytest.raises(FixpointCapError, match="apply_rules.*1"):
+        apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=1))
+    got = apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=2))
     assert len(got.gates) == 4
 
 

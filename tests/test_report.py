@@ -5,8 +5,8 @@ import pytest
 from mlco.ir import GateCensus
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, REFERENCE_ROWS, cost_table_identity_holds,
-    deto_cost_model_cx, format_sweep, format_table1, mlco_two_step_cx,
-    reduction_ratio, reproduce_table1, scaling_sweep,
+    deto_cost_model_cx, format_sweep, format_table1, mlco_one_step_cx,
+    mlco_two_step_cx, reduction_ratio, reproduce_table1, scaling_sweep,
 )
 
 
@@ -72,6 +72,16 @@ def test_scaling_sweep_rows_match():
     assert mlco6.cx_final == 78 and mlco6.cx_predicted == 78
     deto6 = next(r for r in rows if r.n == 6 and r.strategy == "DETO-cost-model")
     assert deto6.cx_final == 114 and deto6.steps == 1
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_scaling_sweep_predicts_odd_step_counts(steps):
+    # k steps decompose to k // 2 two-step counts plus one one-step count.
+    rows = [r for r in scaling_sweep([4, 5, 7, 9], steps=steps, executable=False)
+            if r.strategy == "MLCO"]
+    assert all(r.match for r in rows)
+    assert [r.cx_predicted for r in rows] == [
+        (steps // 2) * mlco_two_step_cx(n) + mlco_one_step_cx(n) for n in (4, 5, 7, 9)]
 
 
 def test_scaling_sweep_skips_executable_when_disabled():
