@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ir import Circuit, Gate, barrier, cx, h, mcrz, rx, x
+from .ir import Circuit, Gate, cx, h, mcrz, rx, x
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def build_wing(j: int, style: WingStyle, n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def build_block(j: int, style: WingStyle, params: PdeParams,
-                with_barriers: bool = False) -> Circuit:
+def build_block(j: int, style: WingStyle, params: PdeParams) -> Circuit:
     """Evolution block j: left wing, j-controlled RZ backbone, right wing."""
     from .ir import inverse  # local import keeps module load order simple
 
@@ -79,18 +78,13 @@ def build_block(j: int, style: WingStyle, params: PdeParams,
     top = params.n - 1
     backbone = mcrz(tuple(range(j)), top, params.theta_bb)
     gates = list(inverse(wing).gates)
-    if with_barriers:
-        span = tuple(range(params.n))
-        gates += [barrier(span), backbone, barrier(span)]
-    else:
-        gates.append(backbone)
+    gates.append(backbone)
     gates += list(wing.gates)
     return Circuit(params.n, tuple(gates))
 
 
 def build_one_step(params: PdeParams, style: WingStyle,
-                   order: H2Order = H2Order.INCREASING,
-                   with_barriers: bool = False) -> Circuit:
+                   order: H2Order = H2Order.INCREASING) -> Circuit:
     """One Trotter step: the commuting blocks, then the X-rotation part.
 
     With the rotation last in time the step unitary is the matrix product
@@ -102,7 +96,7 @@ def build_one_step(params: PdeParams, style: WingStyle,
     if order is H2Order.DECREASING:
         block_range = reversed(block_range)
     for j in block_range:
-        gates.extend(build_block(j, style, params, with_barriers).gates)
+        gates.extend(build_block(j, style, params).gates)
     gates.append(rx(top, -params.theta_bb))
     return Circuit(params.n, tuple(gates))
 

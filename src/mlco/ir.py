@@ -38,19 +38,22 @@ class GateKind(enum.Enum):
     RCCX = "RCCX"
     CCRZ = "CCRZ"
     MCRZ = "MCRZ"
-    MCX = "MCX"
     BARRIER = "Barrier"
+
+    # Members are singletons, so the identity hash agrees with equality and
+    # spares every Gate hash and kind-set lookup Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
 
 # Fixed control arity per kind; None means variable (>= 3) or not applicable.
-_CONTROL_ARITY = {
+CONTROL_ARITY = {
     GateKind.X: 0, GateKind.H: 0, GateKind.S: 0, GateKind.SDG: 0,
     GateKind.T: 0, GateKind.TDG: 0, GateKind.Z: 0, GateKind.RZ: 0,
     GateKind.RX: 0,
     GateKind.CX: 1, GateKind.CZ: 1, GateKind.CY: 1, GateKind.CS: 1,
     GateKind.CSDG: 1, GateKind.CRZ: 1,
     GateKind.CCX: 2, GateKind.RCCX: 2, GateKind.CCRZ: 2,
-    GateKind.MCRZ: None, GateKind.MCX: None, GateKind.BARRIER: None,
+    GateKind.MCRZ: None, GateKind.BARRIER: None,
 }
 
 ROTATION_KINDS = frozenset({
@@ -66,12 +69,12 @@ DIAGONAL_KINDS = frozenset({
 
 # Permutation gates whose action is "flip target iff all controls are 1".
 X_FAMILY_KINDS = frozenset({
-    GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX,
+    GateKind.X, GateKind.CX, GateKind.CCX,
 })
 
 _SELF_INVERSE = frozenset({
     GateKind.X, GateKind.H, GateKind.Z, GateKind.CX, GateKind.CZ,
-    GateKind.CY, GateKind.CCX, GateKind.MCX, GateKind.BARRIER,
+    GateKind.CY, GateKind.CCX, GateKind.BARRIER,
 })
 
 _INVERSE_KIND = {
@@ -95,12 +98,12 @@ class UnsupportedGateError(ParseError):
 
 @dataclass(frozen=True)
 class Gate:
-    """One instruction: kind, ordered controls, target, optional angle.
+    """One instruction: kind, controls, target, optional angle.
 
-    Equality and hashing use the control *set* for every kind but RCCX,
-    whose unitary depends on the control order, so RCCX compares its
-    controls in order.  Barriers carry their spanned qubits in ``controls``
-    and have no target.
+    Controls are stored sorted for every kind but RCCX, whose unitary
+    depends on the control order, so gates that differ only in control
+    order are equal and hash alike.  Barriers carry their spanned qubits in
+    ``controls`` and have no target.
     """
 
     kind: GateKind
@@ -109,7 +112,9 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(self.controls))
+        controls = tuple(self.controls)
+        object.__setattr__(self, "controls", controls if self.kind is GateKind.RCCX
+                           else tuple(sorted(controls)))
         if self.kind is GateKind.BARRIER:
             if self.target is not None or self.angle is not None:
                 raise CircuitError("barrier takes spanned qubits only")
@@ -118,7 +123,7 @@ class Gate:
             return
         if self.target is None:
             raise CircuitError(f"{self.kind.value} requires a target")
-        arity = _CONTROL_ARITY[self.kind]
+        arity = CONTROL_ARITY[self.kind]
         if arity is None:
             if len(self.controls) < 3:
                 raise CircuitError(
@@ -149,25 +154,6 @@ class Gate:
     @property
     def is_entangling(self) -> bool:
         return self.kind is not GateKind.BARRIER and len(self.controls) > 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        return (self.kind is other.kind
-                and self.target == other.target
-                and self.angle == other.angle
-                and (self.controls == other.controls
-                     or (self.kind is not GateKind.RCCX
-                         and frozenset(self.controls) == frozenset(other.controls))))
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            controls = self.controls if self.kind is GateKind.RCCX \
-                else frozenset(self.controls)
-            h = hash((self.kind, controls, self.target, self.angle))
-            self.__dict__["_hash"] = h
-        return h
 
     def inverse(self) -> "Gate | tuple[Gate, ...]":
         """Inverse gate, or a gate sequence for RCCX (reversed decomposition)."""
@@ -263,7 +249,7 @@ class GateSetLevel:
     allowed_kinds: frozenset[GateKind]
 
 
-_SINGLE_QUBIT = frozenset(k for k, a in _CONTROL_ARITY.items() if a == 0)
+_SINGLE_QUBIT = frozenset(k for k, a in CONTROL_ARITY.items() if a == 0)
 
 HIGS = GateSetLevel("HiGS", None, frozenset(GateKind) - {GateKind.RCCX})
 MIGS = GateSetLevel("MiGS", 2, _SINGLE_QUBIT | {
@@ -289,8 +275,7 @@ def conforms(circuit: Circuit, level: GateSetLevel) -> bool:
 # Census
 
 # CX cost of each entangling kind under the fixed LoGS decompositions; with
-# `mcrz_cx_cost` for C{k}RZ, the one CX price table.  MCX has no LoGS
-# decomposition and is priced 0.
+# `mcrz_cx_cost` for C{k}RZ, the one CX price table.
 FIXED_CX_COST = {
     "CCX": 6, "RCCX": 3, "CCRZ": 4, "CRZ": 2, "CS": 2, "CSdg": 2,
     "CZ": 1, "CY": 1, "CX": 1,

@@ -23,7 +23,7 @@ from .build import (
 )
 from .ir import (
     HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
-    ccx, census, commutes, conforms, cs, csdg, cx, cz, h,
+    ccx, census, commutes, conforms, cs, csdg, cx, cz, h, inverse,
     rccx, rccx_decomposition, rz, s, sdg, x,
 )
 
@@ -82,8 +82,7 @@ DEFAULT_CONFIG = PassConfig()
 def _merged(a: Gate, b: Gate) -> Gate | None:
     """Merge candidate for two rotations of the same kind on the same support."""
     if (a.kind is b.kind and a.kind in ROTATION_KINDS
-            and frozenset(a.controls) == frozenset(b.controls)
-            and a.target == b.target):
+            and a.controls == b.controls and a.target == b.target):
         return Gate(a.kind, a.controls, a.target, a.angle + b.angle)
     return None
 
@@ -193,15 +192,24 @@ def _rule(name: str, wires: int, pattern: list[Gate], replacement: list[Gate]) -
                        Circuit(wires, tuple(replacement))).certify()
 
 
+def _mirror(name: str, rule: RewriteRule) -> RewriteRule:
+    """`rule` run backwards: if P = R then P^-1 = R^-1."""
+    return _rule(name, rule.pattern.num_qubits, list(inverse(rule.pattern).gates),
+                 list(inverse(rule.replacement).gates))
+
+
 def _build_registry() -> dict[str, RewriteRule]:
+    # Three CX in a stair contract to two.
+    stair = _rule("cx-stair", 3,
+                  [cx(0, 2), cx(1, 2), cx(0, 1)],
+                  [cx(0, 1), cx(1, 2)])
+    # CZ/CX fusion: the pair becomes a single CX with phase dressing.
+    fuse = _rule("cz-cx-fuse", 2,
+                 [cz(0, 1), cx(0, 1)],
+                 [sdg(1), cx(0, 1), s(1), sdg(0)])
     rules = [
-        # Three CX in a stair contract to two.
-        _rule("cx-stair", 3,
-              [cx(0, 2), cx(1, 2), cx(0, 1)],
-              [cx(0, 1), cx(1, 2)]),
-        _rule("cx-stair-rev", 3,
-              [cx(0, 1), cx(1, 2), cx(0, 2)],
-              [cx(1, 2), cx(0, 1)]),
+        stair,
+        _mirror("cx-stair-rev", stair),
         # An X on the control between two equal CX collapses them.
         _rule("cx-x-cx", 2,
               [cx(0, 1), x(0), cx(0, 1)],
@@ -210,13 +218,8 @@ def _build_registry() -> dict[str, RewriteRule]:
         _rule("ccx-x-ccx", 3,
               [ccx(0, 1, 2), x(1), ccx(0, 1, 2)],
               [x(1), cx(0, 2)]),
-        # CZ/CX fusion: the pair becomes a single CX with phase dressing.
-        _rule("cz-cx-fuse", 2,
-              [cz(0, 1), cx(0, 1)],
-              [sdg(1), cx(0, 1), s(1), sdg(0)]),
-        _rule("cx-cz-fuse", 2,
-              [cx(0, 1), cz(0, 1)],
-              [sdg(1), cx(0, 1), s(1), s(0)]),
+        fuse,
+        _mirror("cx-cz-fuse", fuse),
     ]
     return {r.name: r for r in rules}
 
@@ -432,7 +435,7 @@ def lower_vchain(circuit: Circuit) -> Circuit:
         if g.kind is not GateKind.MCRZ:
             out.append(g)
             continue
-        controls = sorted(g.controls)
+        controls = g.controls
         k = len(controls)
         chain = [ccx(controls[0], controls[1], anc[0])]
         chain += [ccx(controls[i + 1], anc[i - 1], anc[i]) for i in range(1, k - 2)]
@@ -459,7 +462,7 @@ def replace_ccx_with_rccx(circuit: Circuit,
     for idx, g in enumerate(gates):
         if g.kind is not GateKind.CCX:
             continue
-        key = (frozenset(g.controls), g.target)
+        key = (g.controls, g.target)
         stack = open_stack.setdefault(key, [])
         if stack:
             left = stack.pop()
@@ -649,7 +652,7 @@ def pipeline_mlco(params: PdeParams, steps: int, style: WingStyle,
     one_step: dict[H2Order, tuple[Circuit, list[Stage]]] = {}
     for order in dict.fromkeys(orders):
         tick = time.perf_counter()
-        source = build_one_step(params, style, order).without_barriers()
+        source = build_one_step(params, style, order)
         built = Stage("1-step source", source, time.perf_counter() - tick)
         simplified, chain = run_passes(source, MLCO_PASSES[:3], "1-step ", config)
         one_step[order] = simplified, [built] + chain

@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 
 from .build import PdeParams, WingStyle
-from .ir import GateCensus, census
+from .ir import GateCensus, census, mcrz_cx_cost
 from .passes import Stage, gray_mcrz, pipeline_deto, pipeline_mlco
 
 #: Reference stage censuses for the n=6 stair pipeline (entangling gates only).
@@ -152,7 +152,10 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
         rows.append(SweepRow(n, "MLCO", steps, cx_jd, predicted,
                              cx_jd == predicted and cx_final <= cx_jd))
         _, cm = pipeline_deto(params, 1, style)
-        cm_predicted = deto_cost_model_cx(n) if n >= 8 else cm
+        # Below n=8 the closed form fails; price each block j instead: 2j
+        # wing CX plus one C^jRZ backbone.
+        cm_predicted = deto_cost_model_cx(n) if n >= 8 else (
+            n * (n - 1) + sum(mcrz_cx_cost(j) for j in range(1, n)))
         rows.append(SweepRow(n, "DETO-cost-model", 1, cm, cm_predicted,
                              cm == cm_predicted))
         if executable and n <= EXECUTABLE_SWEEP_CAP:

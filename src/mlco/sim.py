@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind, rccx_decomposition
+from .ir import CONTROL_ARITY, X_FAMILY_KINDS, Circuit, Gate, GateKind, rccx_decomposition
 
 UNITARY_QUBIT_CAP = 12
 STATEVECTOR_QUBIT_CAP = 24
@@ -81,7 +81,6 @@ _BASE_1Q = {
 # Target unitary of each controlled kind (applied iff all controls are |1>).
 _CONTROLLED_TARGET = {
     GateKind.CX: lambda a: _X, GateKind.CCX: lambda a: _X,
-    GateKind.MCX: lambda a: _X,
     GateKind.CZ: lambda a: _Z, GateKind.CY: lambda a: _Y,
     GateKind.CS: lambda a: _S, GateKind.CSDG: lambda a: _S.conj(),
     GateKind.CRZ: lambda a: _rz(a), GateKind.CCRZ: lambda a: _rz(a),
@@ -109,10 +108,7 @@ def unitary_of_kind(kind: GateKind, angle: float | None = None,
     if kind is GateKind.RCCX:
         return _rccx_unitary()
     if num_controls is None:
-        fixed = {GateKind.CX: 1, GateKind.CZ: 1, GateKind.CY: 1, GateKind.CS: 1,
-                 GateKind.CSDG: 1, GateKind.CRZ: 1, GateKind.CCX: 2,
-                 GateKind.CCRZ: 2}
-        num_controls = fixed.get(kind)
+        num_controls = CONTROL_ARITY[kind]
         if num_controls is None:
             raise ValueError(f"{kind.value} needs an explicit control count")
     dim = 2 ** (num_controls + 1)
@@ -131,7 +127,6 @@ def _target_matrix(gate: Gate) -> np.ndarray:
     return table[gate.kind](gate.angle)
 
 
-_SWAP_KINDS = frozenset({GateKind.X, GateKind.CX, GateKind.CCX, GateKind.MCX})
 _SQRT_HALF = math.sqrt(0.5)
 # _run folds the pending factor in before it can underflow (H shrinks it by
 # 1/sqrt 2 and grows the tensor by sqrt 2 each time).
@@ -173,7 +168,7 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
         np.subtract(a, b, out=b)
         np.copyto(a, tmp)
         return _SQRT_HALF
-    if kind in _SWAP_KINDS:
+    if kind in X_FAMILY_KINDS:
         np.copyto(tmp, a)
         np.copyto(a, b)
         np.copyto(b, tmp)

@@ -7,7 +7,9 @@ import pytest
 from mlco import report, sim
 from mlco.build import PdeParams, WingStyle
 from mlco.cli import main
-from mlco.ir import LOGS, census, conforms, read_circuit, write_circuit
+from mlco.ir import (
+    LOGS, Circuit, ccx, census, conforms, cy, h, mcrz, read_circuit, rz, write_circuit,
+)
 from mlco.passes import pipeline_deto, pipeline_mlco
 
 
@@ -151,6 +153,29 @@ def test_export_rejects_migs_circuit(built, tmp_path, capsys):
                        "--out", str(tmp_path / "x.qasm"))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["count", "optimize", "export"])
+def test_mcx_file_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "mcx.mlco"
+    path.write_text('{"num_qubits": 4, "num_ancillas": 0, "gates": '
+                    '[{"kind": "MCX", "controls": [0, 1, 2], "target": 3}]}')
+    out = () if command == "count" else ("--out", str(tmp_path / "o"))
+    code, _, err = run(capsys, command, "--in", str(path), *out)
+    assert code == 2
+    assert "unknown kind 'MCX'" in err
+
+
+def test_optimize_lowers_cy_gates_to_logs(tmp_path, capsys):
+    src, out_path = tmp_path / "cy.mlco", tmp_path / "cy-opt.mlco"
+    src.write_bytes(write_circuit(Circuit(5, (
+        h(0), cy(0, 1), cy(1, 2), mcrz((0, 1, 2), 4, 0.7), cy(4, 3),
+        ccx(3, 1, 0), rz(2, 0.3)))))
+    code, out, _ = run(capsys, "optimize", "--in", str(src), "--out", str(out_path),
+                       "--verify")
+    assert code == 0
+    assert "verification: pass" in out
+    assert conforms(read_circuit(out_path.read_bytes()), LOGS)
 
 
 def test_verify_pair_pass_and_fail(built, tmp_path, capsys):

@@ -11,7 +11,8 @@ from mlco import passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
     Circuit, CircuitError, GateKind, LOGS, MIGS, ROTATION_KINDS, ccrz, ccx,
-    census, commutes, conforms, crz, cs, cx, cz, h, mcrz, rccx, rz, s, sdg, x,
+    census, commutes, conforms, crz, cs, cx, cz, h, inverse, mcrz, rccx, rz, s,
+    sdg, x,
 )
 from mlco.passes import (
     PassConfig, RULES, ConformanceError, FixpointCapError, apply_rules,
@@ -84,6 +85,20 @@ def test_every_rule_is_certified(name):
     # certify() raises on any unitary mismatch or entangling-count increase.
     certified = ALL_RULES[name].certify()
     assert certified.certified
+
+
+def test_rule_registry_names_and_order():
+    assert list(RULES) == ["cx-stair", "cx-stair-rev", "cx-x-cx", "ccx-x-ccx",
+                           "cz-cx-fuse", "cx-cz-fuse"]
+
+
+@pytest.mark.parametrize("mirror, rule", [("cx-stair-rev", "cx-stair"),
+                                          ("cx-cz-fuse", "cz-cx-fuse")])
+def test_mirrored_rules_are_certified_inverses(mirror, rule):
+    derived, source = RULES[mirror], RULES[rule]
+    assert derived.certified
+    assert derived.pattern == inverse(source.pattern)
+    assert derived.replacement == inverse(source.replacement)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_RULES))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mlco import report
 from mlco.ir import GateCensus
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, REFERENCE_ROWS, cost_table_identity_holds,
@@ -72,6 +73,16 @@ def test_scaling_sweep_rows_match():
     assert mlco6.cx_final == 78 and mlco6.cx_predicted == 78
     deto6 = next(r for r in rows if r.n == 6 and r.strategy == "DETO-cost-model")
     assert deto6.cx_final == 114 and deto6.steps == 1
+
+
+def test_scaling_sweep_checks_deto_cost_model_below_8(monkeypatch):
+    # Below n=8 each block j is priced as 2j wing CX plus a C^jRZ; a wrong
+    # DETO count there must fail its row.
+    monkeypatch.setattr(report, "pipeline_deto", lambda params, steps, style: (None, 115))
+    rows = scaling_sweep([6], steps=2, executable=False)
+    deto6 = next(r for r in rows if r.strategy == "DETO-cost-model")
+    assert deto6.cx_predicted == 114 and deto6.cx_final == 115
+    assert not deto6.match
 
 
 @pytest.mark.parametrize("steps", [1, 3])

@@ -10,7 +10,7 @@ from mlco.ir import (
     rccx_decomposition, rz, s, x,
 )
 
-MULTI_CONTROL_KINDS = (GateKind.MCX, GateKind.MCRZ)
+MULTI_CONTROL_KINDS = (GateKind.MCRZ,)
 
 
 def _reference_apply_gate(tensor, gate, n):
@@ -77,8 +77,8 @@ def _assert_matches_reference(circuit, rng):
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
 def test_kernel_matches_reference_for_kind(kind):
-    # Every placement size from the kind's minimum to 6 wires; MCX and MCRZ
-    # get 3 to n-1 controls.
+    # Every placement size from the kind's minimum to 6 wires; MCRZ gets 3
+    # to n-1 controls.
     rng = np.random.default_rng(list(GateKind).index(kind))
     for n in range(_min_wires(kind), 7):
         for _ in range(3):
