@@ -117,13 +117,8 @@ def step_orders(steps: int) -> list[H2Order]:
             for i in range(steps)]
 
 
-def build_steps(params: PdeParams, steps: int, style: WingStyle,
-                orders: list[H2Order] | None = None) -> Circuit:
+def build_steps(params: PdeParams, steps: int, style: WingStyle) -> Circuit:
     """Multi-step source circuit with alternating block orders."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if orders is None:
-        orders = step_orders(steps)
-    if len(orders) != steps:
-        raise ValueError("orders length must match steps")
-    return compose_steps([build_one_step(params, style, o) for o in orders])
+    return compose_steps([build_one_step(params, style, o) for o in step_orders(steps)])

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -20,16 +19,9 @@ from .ir import (
     MIGS, Circuit, CircuitError, census, conforms,
     read_circuit, write_circuit, write_qasm,
 )
-from .passes import DEFAULT_CONFIG, DETO_PASSES, MLCO_PASSES, PassConfig, run_passes
+from .passes import DETO_PASSES, MLCO_PASSES, run_passes
 
 VERIFY_DEFAULT_MAX_QUBITS = 8
-
-
-def _load_config(path: str | None) -> PassConfig:
-    path = path or os.environ.get("MLCO_CONFIG")
-    if not path:
-        return DEFAULT_CONFIG
-    return PassConfig.from_json(Path(path).read_bytes())
 
 
 def _params(args) -> PdeParams:
@@ -72,7 +64,6 @@ def _checks_ran(a: Circuit, b: Circuit, trials: int) -> str:
 
 
 def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
     circ = read_circuit(Path(args.infile).read_bytes())
     if args.strategy == "mlco":
         # A MiGS-conformant input starts at MiGS simplification unless the
@@ -81,12 +72,12 @@ def cmd_optimize(args) -> int:
         start = 0 if args.to == "higs" or not conforms(circ, MIGS) \
             else names.index("MiGS simplified")
         stop = names.index(_LAST_STAGE[args.to]) + 1
-        out, stages = run_passes(circ, MLCO_PASSES[start:stop], config=config)
+        out, stages = run_passes(circ, MLCO_PASSES[start:stop])
     else:
         if args.to != "logs":
             print("deto strategy always lowers to logs", file=sys.stderr)
             return 2
-        out, stages = run_passes(circ, DETO_PASSES, config=config)
+        out, stages = run_passes(circ, DETO_PASSES)
         print(f"cost-model CX: {census(circ).total_cx_after_naive_lowering}")
     Path(args.out).write_bytes(write_circuit(out))
     lines = []
@@ -168,7 +159,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = report_mod.reproduce_table1(style=WingStyle(args.wing))
+    rows = report_mod.reproduce_table1()
     print(report_mod.format_table1(rows), end="")
     ratio = report_mod.reduction_ratio(rows[-1].report.census)
     print(f"per-step CX reduction vs DETO reference "
@@ -204,7 +195,6 @@ def make_parser() -> argparse.ArgumentParser:
     o.add_argument("--in", dest="infile", required=True)
     o.add_argument("--out", required=True)
     o.add_argument("--report", default=None)
-    o.add_argument("--config", default=None)
     o.add_argument("--trials", type=int, default=20)
     o.add_argument("--seed", type=int, default=7)
     o.add_argument("--verify", action=argparse.BooleanOptionalAction, default=None)
@@ -242,7 +232,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sweep)
 
     t = sub.add_parser("table1", help="reproduce the reference gate-count table")
-    t.add_argument("--wing", choices=["spray", "stair"], default="stair")
     t.set_defaults(fn=cmd_table1)
     return ap
 

@@ -74,7 +74,7 @@ X_FAMILY_KINDS = frozenset({
 
 _SELF_INVERSE = frozenset({
     GateKind.X, GateKind.H, GateKind.Z, GateKind.CX, GateKind.CZ,
-    GateKind.CY, GateKind.CCX, GateKind.BARRIER,
+    GateKind.CY, GateKind.CCX, GateKind.RCCX, GateKind.BARRIER,
 })
 
 _INVERSE_KIND = {
@@ -155,17 +155,18 @@ class Gate:
     def is_entangling(self) -> bool:
         return self.kind is not GateKind.BARRIER and len(self.controls) > 0
 
-    def inverse(self) -> "Gate | tuple[Gate, ...]":
-        """Inverse gate, or a gate sequence for RCCX (reversed decomposition)."""
+    def inverse(self) -> "Gate":
+        """Inverse gate.
+
+        RCCX is its own inverse: its decomposition, reversed and inverted
+        gate by gate, is itself.
+        """
         if self.kind in _SELF_INVERSE:
             return self
         if self.kind in _INVERSE_KIND:
             return replace(self, kind=_INVERSE_KIND[self.kind])
         if self.kind in ROTATION_KINDS:
             return replace(self, angle=-self.angle)
-        if self.kind is GateKind.RCCX:
-            body = rccx_decomposition(*self.controls, self.target)
-            return tuple(g.inverse() for g in reversed(body))
         raise CircuitError(f"no inverse for {self.kind.value}")
 
 
@@ -232,11 +233,7 @@ class Circuit:
 
 def inverse(circuit: Circuit) -> Circuit:
     """Reverse the gate order and invert each gate."""
-    out: list[Gate] = []
-    for g in reversed(circuit.gates):
-        inv = g.inverse()
-        out.extend(inv if isinstance(inv, tuple) else (inv,))
-    return circuit.with_gates(out)
+    return circuit.with_gates(g.inverse() for g in reversed(circuit.gates))
 
 
 # ---------------------------------------------------------------------------

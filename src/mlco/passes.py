@@ -9,7 +9,6 @@ pass is deterministic.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -33,47 +32,13 @@ class ConformanceError(CircuitError):
 
 
 class FixpointCapError(CircuitError):
-    """A fixpoint loop used up ``max_fixpoint_iterations`` without reaching its fixpoint."""
+    """A fixpoint loop used up ``MAX_SWEEPS`` without reaching its fixpoint."""
 
 
-@dataclass(frozen=True)
-class PassConfig:
-    angle_merge_tolerance: float = 1e-10
-    max_fixpoint_iterations: int = 64
-    enabled_rules: frozenset[str] | None = None  # None = all registered rules
-
-    def __post_init__(self):
-        tol, cap = self.angle_merge_tolerance, self.max_fixpoint_iterations
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
-                or not math.isfinite(tol):
-            raise ValueError(f"tolerance must be a finite number, got {tol!r}")
-        if tol < 0:
-            raise ValueError("tolerance must be >= 0")
-        if isinstance(cap, bool) or not isinstance(cap, int):
-            raise ValueError(f"iteration cap must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ValueError("iteration cap must be >= 1")
-
-    @classmethod
-    def from_json(cls, data: bytes | str) -> "PassConfig":
-        doc = json.loads(data)
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        rules = doc.get("enabled_rules")
-        if rules is not None:
-            if not (isinstance(rules, list) and all(isinstance(r, str) for r in rules)):
-                raise ValueError("enabled_rules must be a list of rule names")
-            unknown = sorted(set(rules) - set(RULES))
-            if unknown:
-                raise ValueError(f"enabled_rules names unknown rules: {', '.join(unknown)}")
-        return cls(
-            angle_merge_tolerance=doc.get("angle_merge_tolerance", 1e-10),
-            max_fixpoint_iterations=doc.get("max_fixpoint_iterations", 64),
-            enabled_rules=None if rules is None else frozenset(rules),
-        )
-
-
-DEFAULT_CONFIG = PassConfig()
+#: Rotations whose angle is at most this in magnitude are dropped.
+ANGLE_TOLERANCE = 1e-10
+#: Sweeps a fixpoint loop may make, the confirming one included.
+MAX_SWEEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +52,9 @@ def _merged(a: Gate, b: Gate) -> Gate | None:
     return None
 
 
-def _inverse_pair(a: Gate, b: Gate) -> bool:
-    inv = a.inverse()
-    return isinstance(inv, Gate) and inv == b
-
-
-def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Circuit:
+def cancel_adjacent(circuit: Circuit) -> Circuit:
     """Cancel inverse pairs and merge rotations across commuting gates, to fixpoint."""
-    tol, cap = config.angle_merge_tolerance, config.max_fixpoint_iterations
+    tol, cap = ANGLE_TOLERANCE, MAX_SWEEPS
     gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
     for _ in range(cap):
         changed = False
@@ -114,7 +74,7 @@ def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Ci
                     j += 1
                     continue
                 if other.target == g.target:
-                    if _inverse_pair(g, other):
+                    if g.inverse() == other:
                         del gates[j], gates[i]
                         acted = True
                         break
@@ -137,8 +97,7 @@ def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Ci
                 i += 1
         if not changed:
             return circuit.with_gates(gates)
-    raise FixpointCapError(f"cancel_adjacent: no fixpoint after {cap} sweeps "
-                           f"(max_fixpoint_iterations={cap})")
+    raise FixpointCapError(f"cancel_adjacent: no fixpoint after {cap} sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +105,14 @@ def cancel_adjacent(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Ci
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """An oracle-certified equivalence between two small circuits."""
+    """An oracle-certified equivalence between two small circuits.
+
+    Construction raises `CircuitError` unless the rule certifies.
+    """
 
     name: str
     pattern: Circuit
     replacement: Circuit
-    certified: bool = False
 
     def __post_init__(self):
         # The matcher looks for each pattern gate after the first only on
@@ -166,8 +127,9 @@ class RewriteRule:
                     f"rule {self.name!r}: pattern gate {g.kind.value} on {g.qubits} "
                     "shares no wire with the gates before it")
             seen.update(g.qubits)
+        self.certify()
 
-    def certify(self) -> "RewriteRule":
+    def certify(self) -> None:
         """Exact unitary-equivalence check.
 
         Also refuses a replacement with as many entangling gates as the
@@ -184,12 +146,11 @@ class RewriteRule:
         if n_rep >= n_pat:
             raise CircuitError(f"rule {self.name!r} does not lower the entangling "
                                f"count ({n_pat} -> {n_rep})")
-        return RewriteRule(self.name, self.pattern, self.replacement, True)
 
 
 def _rule(name: str, wires: int, pattern: list[Gate], replacement: list[Gate]) -> RewriteRule:
     return RewriteRule(name, Circuit(wires, tuple(pattern)),
-                       Circuit(wires, tuple(replacement))).certify()
+                       Circuit(wires, tuple(replacement)))
 
 
 def _mirror(name: str, rule: RewriteRule) -> RewriteRule:
@@ -388,30 +349,23 @@ def _rewrite_sweep(gates: list[Gate], rules: list[RewriteRule]) -> tuple[list[Ga
     return gates, rewrites
 
 
-def apply_rules(circuit: Circuit, rules: list[RewriteRule],
-                config: PassConfig = DEFAULT_CONFIG) -> Circuit:
+def apply_rules(circuit: Circuit, rules: list[RewriteRule]) -> Circuit:
     """Interleave rewrite sweeps with cancellation until a sweep rewrites nothing.
 
-    `max_fixpoint_iterations` bounds the sweeps, the confirming one included.
+    `MAX_SWEEPS` bounds the sweeps, the confirming one included.
     """
-    for rule in rules:
-        if not rule.certified:
-            raise CircuitError(f"rule {rule.name!r} is not certified")
-    if config.enabled_rules is not None:
-        rules = [r for r in rules if r.name in config.enabled_rules]
-    cap = config.max_fixpoint_iterations
-    circ = cancel_adjacent(circuit, config)
+    cap = MAX_SWEEPS
+    circ = cancel_adjacent(circuit)
     for _ in range(cap):
         rewritten, rewrites = _rewrite_sweep(list(circ.gates), rules)
         if not rewrites:
             return circ
-        circ = cancel_adjacent(circ.with_gates(rewritten), config)
-    raise FixpointCapError(f"apply_rules: no fixpoint after {cap} sweeps "
-                           f"(max_fixpoint_iterations={cap})")
+        circ = cancel_adjacent(circ.with_gates(rewritten))
+    raise FixpointCapError(f"apply_rules: no fixpoint after {cap} sweeps")
 
 
-def simplify(circuit: Circuit, rule_names, config: PassConfig = DEFAULT_CONFIG) -> Circuit:
-    return apply_rules(circuit, rules_named(rule_names), config)
+def simplify(circuit: Circuit, rule_names) -> Circuit:
+    return apply_rules(circuit, rules_named(rule_names))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +399,7 @@ def lower_vchain(circuit: Circuit) -> Circuit:
     return Circuit(width, tuple(out), circuit.num_ancillas + pool)
 
 
-def replace_ccx_with_rccx(circuit: Circuit,
-                          config: PassConfig = DEFAULT_CONFIG) -> Circuit:
+def replace_ccx_with_rccx(circuit: Circuit) -> Circuit:
     """Strength-reduce conjugate Toffoli pairs to relative-phase Toffolis.
 
     Each CCX of a same-support pair is swapped for an exact RCCX-based
@@ -491,8 +444,7 @@ def replace_ccx_with_rccx(circuit: Circuit,
             out += [rccx(c1, c2, t), cs(c1, c2), cz(c1, t)]
         else:
             out += [csdg(c1, c2), cz(c1, t), rccx(c1, c2, t)]
-    simplified = cancel_adjacent(circuit.with_gates(out), config)
-    return apply_rules(simplified, rules_named(FUSION_RULE_NAMES), config)
+    return apply_rules(circuit.with_gates(out), rules_named(FUSION_RULE_NAMES))
 
 
 # Fixed LoGS decompositions, each certified once at import time.
@@ -594,11 +546,11 @@ def lower_to_logs(circuit: Circuit) -> Circuit:
     return decompose_to_logs(circuit)
 
 
-def optimize_logs(circuit: Circuit, config: PassConfig = DEFAULT_CONFIG) -> Circuit:
+def optimize_logs(circuit: Circuit) -> Circuit:
     """LoGS cleanup: cancel inverse pairs and merge rotations; never adds a gate."""
     if not conforms(circuit, LOGS):
         raise ConformanceError("optimize_logs expects a LoGS circuit")
-    return cancel_adjacent(circuit, config)
+    return cancel_adjacent(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -611,36 +563,36 @@ class Stage:
     seconds: float = 0.0
 
 
-# The passes in level order, as (stage name, pass); every pass takes
-# (circuit, config).  Each entry looks its pass up in this module when it
-# runs, so a pass replaced on the module is the one that runs.
+# The passes in level order, as (stage name, pass).  Each entry looks its
+# pass up in this module when it runs, so a pass replaced on the module is
+# the one that runs.
 MLCO_PASSES = (
-    ("HiGS simplified", lambda c, config: simplify(c, HIGS_RULE_NAMES, config)),
-    ("MiGS input", lambda c, config: lower_vchain(c)),
-    ("MiGS simplified", lambda c, config: simplify(c, MIGS_RULE_NAMES, config)),
-    ("MiGS replaced", lambda c, config: replace_ccx_with_rccx(c, config)),
-    ("LoGS input", lambda c, config: lower_to_logs(c)),
-    ("LoGS target", lambda c, config: optimize_logs(c, config)),
+    ("HiGS simplified", lambda c: simplify(c, HIGS_RULE_NAMES)),
+    ("MiGS input", lambda c: lower_vchain(c)),
+    ("MiGS simplified", lambda c: simplify(c, MIGS_RULE_NAMES)),
+    ("MiGS replaced", lambda c: replace_ccx_with_rccx(c)),
+    ("LoGS input", lambda c: lower_to_logs(c)),
+    ("LoGS target", lambda c: optimize_logs(c)),
 )
 DETO_PASSES = (
-    ("LoGS input", lambda c, config: decompose_to_logs(c)),
-    ("LoGS target", lambda c, config: optimize_logs(c, config)),
+    ("LoGS input", lambda c: decompose_to_logs(c)),
+    ("LoGS target", lambda c: optimize_logs(c)),
 )
 
 
-def run_passes(circuit: Circuit, named_passes, prefix: str = "",
-               config: PassConfig = DEFAULT_CONFIG) -> tuple[Circuit, list[Stage]]:
+def run_passes(circuit: Circuit, named_passes,
+               prefix: str = "") -> tuple[Circuit, list[Stage]]:
     """Run `named_passes` in order; returns the last circuit and a timed stage per pass."""
     stages: list[Stage] = []
     for name, run in named_passes:
         tick = time.perf_counter()
-        circuit = run(circuit, config)
+        circuit = run(circuit)
         stages.append(Stage(prefix + name, circuit, time.perf_counter() - tick))
     return circuit, stages
 
 
-def pipeline_mlco(params: PdeParams, steps: int, style: WingStyle,
-                  config: PassConfig = DEFAULT_CONFIG) -> tuple[Circuit, list[Stage]]:
+def pipeline_mlco(params: PdeParams, steps: int,
+                  style: WingStyle) -> tuple[Circuit, list[Stage]]:
     """Full multilevel pipeline; returns the LoGS circuit and its stages.
 
     Each distinct step is built and simplified through MiGS once; the
@@ -654,7 +606,7 @@ def pipeline_mlco(params: PdeParams, steps: int, style: WingStyle,
         tick = time.perf_counter()
         source = build_one_step(params, style, order)
         built = Stage("1-step source", source, time.perf_counter() - tick)
-        simplified, chain = run_passes(source, MLCO_PASSES[:3], "1-step ", config)
+        simplified, chain = run_passes(source, MLCO_PASSES[:3], "1-step ")
         one_step[order] = simplified, [built] + chain
     stages = one_step[orders[0]][1]
     tick = time.perf_counter()
@@ -662,13 +614,12 @@ def pipeline_mlco(params: PdeParams, steps: int, style: WingStyle,
     if steps > 1:
         stages.append(Stage(f"{steps}-step MiGS composed", composed,
                             time.perf_counter() - tick))
-    final, rest = run_passes(composed, MLCO_PASSES[2:], f"{steps}-step ", config)
+    final, rest = run_passes(composed, MLCO_PASSES[2:], f"{steps}-step ")
     return final, stages + rest
 
 
 def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
-                  mode: str = "cost-model",
-                  config: PassConfig = DEFAULT_CONFIG):
+                  mode: str = "cost-model"):
     """Decompose-then-optimize baseline.
 
     cost-model: returns (None, predicted CX count), the naive-lowered CX of
@@ -681,6 +632,5 @@ def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
         return None, steps * step.total_cx_after_naive_lowering
     if mode != "executable":
         raise ValueError(f"unknown DETO mode {mode!r}")
-    optimized, _ = run_passes(build_steps(params, steps, style), DETO_PASSES,
-                              config=config)
+    optimized, _ = run_passes(build_steps(params, steps, style), DETO_PASSES)
     return optimized, census(optimized)["CX"]

@@ -33,17 +33,25 @@ DETO_REFERENCE_PER_STEP = 102
 
 
 def mlco_two_step_cx(n: int) -> int:
-    """Closed form for the just-decomposed two-step CX count: 2(10n - 21)."""
+    """Closed form for the just-decomposed two-step stair CX count: 2(10n - 21)."""
     return 2 * (10 * n - 21)
 
 
 def mlco_one_step_cx(n: int) -> int:
-    """Closed form for the just-decomposed one-step CX count: 18n - 48.
+    """Closed form for the just-decomposed one-step stair CX count: 18n - 48.
 
     This law and the two-step one hold from n = 4; at n = 3 the two-step
     count is 20, not 18.
     """
     return 18 * n - 48
+
+
+def mlco_spray_step_cx(n: int) -> int:
+    """Closed form for the just-decomposed spray CX count per step: 12n - 26.
+
+    Spray steps gain nothing from composition: k steps cost k times this.
+    """
+    return 12 * n - 26
 
 
 def deto_cost_model_cx(n: int) -> int:
@@ -77,11 +85,9 @@ class Table1Row:
     passed: bool
 
 
-def reproduce_table1(params: PdeParams | None = None,
-                     style: WingStyle = WingStyle.STAIR) -> list[Table1Row]:
-    """Run the pipeline at n=6 and compare stage censuses with the reference."""
-    params = params or PdeParams(n=6)
-    final, stages = pipeline_mlco(params, 2, style)
+def reproduce_table1() -> list[Table1Row]:
+    """Run the two-step stair pipeline at n=6; compare stage censuses with the reference."""
+    _, stages = pipeline_mlco(PdeParams(n=6), 2, WingStyle.STAIR)
     rows = []
     for stage in stages:
         report = StageReport.from_stage(stage)
@@ -130,9 +136,9 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
     """CX-count scaling across sizes for MLCO and the DETO baselines.
 
     MLCO rows report the just-decomposed `steps`-step count against the
-    linear laws, one two-step count per pair of steps plus one one-step
-    count for an odd step; DETO rows report per-step counts against the
-    quadratic cost model.  Raises ValueError on no sizes or on a size below
+    linear laws: for stair, one two-step count per pair of steps plus one
+    one-step count for an odd step; for spray, one spray count per step.
+    DETO rows report per-step counts against the quadratic cost model.  Raises ValueError on no sizes or on a size below
     `MIN_SWEEP_SIZE`, where the linear laws do not hold.
     """
     if not sizes:
@@ -147,8 +153,11 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
         final = stages[-1]
         cx_jd = census(jd.circuit).counts.get("CX", 0)
         cx_final = census(final.circuit).counts.get("CX", 0)
-        predicted = ((steps // 2) * mlco_two_step_cx(n)
-                     + (steps % 2) * mlco_one_step_cx(n))
+        if style is WingStyle.SPRAY:
+            predicted = steps * mlco_spray_step_cx(n)
+        else:
+            predicted = ((steps // 2) * mlco_two_step_cx(n)
+                         + (steps % 2) * mlco_one_step_cx(n))
         rows.append(SweepRow(n, "MLCO", steps, cx_jd, predicted,
                              cx_jd == predicted and cx_final <= cx_jd))
         _, cm = pipeline_deto(params, 1, style)
@@ -168,10 +177,10 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
     return rows
 
 
-def format_sweep(rows: list[SweepRow], sep: str = ",") -> str:
-    lines = ["n,strategy,steps,cx_final,cx_predicted,match".replace(",", sep)]
+def format_sweep(rows: list[SweepRow]) -> str:
+    lines = ["n,strategy,steps,cx_final,cx_predicted,match"]
     for r in rows:
-        lines.append(sep.join(map(str, (r.n, r.strategy, r.steps, r.cx_final,
+        lines.append(",".join(map(str, (r.n, r.strategy, r.steps, r.cx_final,
                                         r.cx_predicted, str(r.match).lower()))))
     return "\n".join(lines) + "\n"
 

@@ -102,18 +102,20 @@ def _sample_gates():
 
 @pytest.mark.parametrize("gate", _sample_gates(), ids=lambda g: g.kind.value)
 def test_gate_followed_by_inverse_is_identity(gate):
-    inv = gate.inverse()
-    seq = (gate, *(inv if isinstance(inv, tuple) else (inv,)))
     n = max(gate.qubits) + 1
-    u = sim.unitary_of(Circuit(n, seq))
+    u = sim.unitary_of(Circuit(n, (gate, gate.inverse())))
     assert np.abs(u - np.eye(2 ** n)).max() < 1e-12
 
 
-def test_rccx_inverse_is_its_reversed_decomposition():
-    inv = rccx(0, 1, 2).inverse()
-    assert isinstance(inv, tuple)
-    u = sim.unitary_of(Circuit(3, (rccx(0, 1, 2), *inv)))
-    assert np.abs(u - np.eye(8)).max() < 1e-12
+def test_rccx_is_self_inverse():
+    for c1, c2 in ((0, 1), (1, 0)):
+        # The decomposition reversed and inverted gate by gate is itself.
+        body = Circuit(3, rccx_decomposition(c1, c2, 2))
+        assert inverse(body) == body
+        gate = rccx(c1, c2, 2)
+        assert gate.inverse() == gate
+        u = sim.unitary_of(Circuit(3, (gate, gate)))
+        assert np.abs(u - np.eye(8)).max() < 1e-12
 
 
 def test_circuit_inverse_roundtrip():

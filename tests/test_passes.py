@@ -1,6 +1,5 @@
 """Rewrite rules, lowerings, and pipeline stages."""
 
-import json
 import random
 from collections import Counter
 
@@ -15,7 +14,7 @@ from mlco.ir import (
     sdg, x,
 )
 from mlco.passes import (
-    PassConfig, RULES, ConformanceError, FixpointCapError, apply_rules,
+    RULES, ConformanceError, FixpointCapError, apply_rules,
     cancel_adjacent, gray_mcrz, lower_to_logs, lower_vchain, optimize_logs,
     pipeline_deto, pipeline_mlco, replace_ccx_with_rccx, rules_named,
 )
@@ -52,6 +51,12 @@ def test_cancel_inverse_pair():
     assert cancel_adjacent(c).gates == ()
 
 
+def test_cancel_rccx_pair_only_with_equal_control_order():
+    assert cancel_adjacent(Circuit(3, (rccx(0, 1, 2), rccx(0, 1, 2)))).gates == ()
+    flipped = Circuit(3, (rccx(0, 1, 2), rccx(1, 0, 2)))
+    assert cancel_adjacent(flipped).gates == flipped.gates
+
+
 def test_cancel_across_commuting_gates():
     # The rz on wire 1 commutes with cx control on wire 0? No - cx acts on
     # both wires; use a gate on an untouched wire instead.
@@ -83,8 +88,14 @@ def test_cancel_drops_barriers():
 @pytest.mark.parametrize("name", sorted(ALL_RULES))
 def test_every_rule_is_certified(name):
     # certify() raises on any unitary mismatch or entangling-count increase.
-    certified = ALL_RULES[name].certify()
-    assert certified.certified
+    ALL_RULES[name].certify()
+
+
+def test_rule_construction_certifies():
+    # No uncertified rule exists, so apply_rules need not check its rules.
+    with pytest.raises(CircuitError, match="failed certification"):
+        passes.RewriteRule("cx-cx-to-cz", Circuit(2, (cx(0, 1), cx(0, 1))),
+                           Circuit(2, (cz(0, 1),)))
 
 
 def test_rule_registry_names_and_order():
@@ -96,7 +107,7 @@ def test_rule_registry_names_and_order():
                                           ("cx-cz-fuse", "cz-cx-fuse")])
 def test_mirrored_rules_are_certified_inverses(mirror, rule):
     derived, source = RULES[mirror], RULES[rule]
-    assert derived.certified
+    derived.certify()
     assert derived.pattern == inverse(source.pattern)
     assert derived.replacement == inverse(source.replacement)
 
@@ -183,10 +194,10 @@ def _ref_extend(gates, pattern, p_idx, positions, binding, gather):
     return None
 
 
-def _ref_cancel_adjacent(circuit, config=passes.DEFAULT_CONFIG):
-    tol = config.angle_merge_tolerance
+def _ref_cancel_adjacent(circuit):
+    tol = passes.ANGLE_TOLERANCE
     gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
-    for _ in range(config.max_fixpoint_iterations):
+    for _ in range(passes.MAX_SWEEPS):
         changed = False
         gates = [g for g in gates
                  if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
@@ -197,7 +208,7 @@ def _ref_cancel_adjacent(circuit, config=passes.DEFAULT_CONFIG):
             acted = False
             while j < len(gates):
                 other = gates[j]
-                if passes._inverse_pair(g, other):
+                if g.inverse() == other:
                     del gates[j], gates[i]
                     acted = True
                     break
@@ -287,28 +298,6 @@ def test_rule_pattern_must_be_wire_connected():
 def test_unknown_rule_name_rejected():
     with pytest.raises(KeyError):
         rules_named(("no-such-rule",))
-
-
-def test_enabled_rules_filter():
-    cfg = PassConfig(enabled_rules=frozenset({"cx-stair"}))
-    c = Circuit(3, (cx(0, 1), cx(1, 2), cx(0, 1)))  # cx-ladder shape
-    got = apply_rules(c, [CX_LADDER], cfg)
-    assert len(got.gates) == 3  # ladder disabled by the config filter
-
-
-# ---------------------------------------------------------------------------
-# PassConfig
-
-def test_config_validation_and_json():
-    with pytest.raises(ValueError):
-        PassConfig(angle_merge_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        PassConfig(max_fixpoint_iterations=0)
-    cfg = PassConfig.from_json(json.dumps(
-        {"angle_merge_tolerance": 1e-9, "enabled_rules": ["cx-stair"]}))
-    assert cfg.angle_merge_tolerance == 1e-9
-    assert cfg.enabled_rules == frozenset({"cx-stair"})
-    assert PassConfig.from_json("{}") == PassConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +519,14 @@ def _ref_rewrite_once(gates, rules):
     return None
 
 
-def _ref_apply_rules(circuit, rules, config=passes.DEFAULT_CONFIG):
+def _ref_apply_rules(circuit, rules):
     # One rewrite per iteration, restarting from gate 0 after each.
-    if config.enabled_rules is not None:
-        rules = [r for r in rules if r.name in config.enabled_rules]
-    circ = passes.cancel_adjacent(circuit, config)
-    for _ in range(config.max_fixpoint_iterations):
+    circ = passes.cancel_adjacent(circuit)
+    for _ in range(passes.MAX_SWEEPS):
         rewritten = _ref_rewrite_once(list(circ.gates), rules)
         if rewritten is None:
             return circ
-        circ = passes.cancel_adjacent(circ.with_gates(rewritten), config)
+        circ = passes.cancel_adjacent(circ.with_gates(rewritten))
     raise FixpointCapError("reference apply_rules: no fixpoint")
 
 
@@ -581,18 +568,22 @@ def test_rewrite_sweeps_keep_every_pipeline_stage(style, monkeypatch):
 # ---------------------------------------------------------------------------
 # Fixpoint cap
 
-def test_apply_rules_raises_when_cap_cuts_rewriting_short():
+def test_apply_rules_raises_when_cap_cuts_rewriting_short(monkeypatch):
     # One sweep rewrites both ladders on disjoint wires; a second sweep
     # confirms the fixpoint.
     ladders = Circuit(6, (cx(0, 1), cx(1, 2), cx(0, 1), cx(3, 4), cx(4, 5), cx(3, 4)))
+    monkeypatch.setattr(passes, "MAX_SWEEPS", 1)
     with pytest.raises(FixpointCapError, match="apply_rules.*1"):
-        apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=1))
-    got = apply_rules(ladders, [CX_LADDER], PassConfig(max_fixpoint_iterations=2))
+        apply_rules(ladders, [CX_LADDER])
+    monkeypatch.setattr(passes, "MAX_SWEEPS", 2)
+    got = apply_rules(ladders, [CX_LADDER])
     assert len(got.gates) == 4
 
 
-def test_cancel_adjacent_raises_when_cap_cuts_cancelling_short():
+def test_cancel_adjacent_raises_when_cap_cuts_cancelling_short(monkeypatch):
     pair = Circuit(2, (cx(0, 1), cx(0, 1)))
+    monkeypatch.setattr(passes, "MAX_SWEEPS", 1)
     with pytest.raises(FixpointCapError, match="cancel_adjacent.*1"):
-        cancel_adjacent(pair, PassConfig(max_fixpoint_iterations=1))
-    assert cancel_adjacent(pair, PassConfig(max_fixpoint_iterations=2)).gates == ()
+        cancel_adjacent(pair)
+    monkeypatch.setattr(passes, "MAX_SWEEPS", 2)
+    assert cancel_adjacent(pair).gates == ()

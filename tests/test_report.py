@@ -3,11 +3,12 @@
 import pytest
 
 from mlco import report
+from mlco.build import WingStyle
 from mlco.ir import GateCensus
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, REFERENCE_ROWS, cost_table_identity_holds,
     deto_cost_model_cx, format_sweep, format_table1, mlco_one_step_cx,
-    mlco_two_step_cx, reduction_ratio, reproduce_table1, scaling_sweep,
+    mlco_spray_step_cx, mlco_two_step_cx, reduction_ratio, reproduce_table1, scaling_sweep,
 )
 
 
@@ -93,6 +94,17 @@ def test_scaling_sweep_predicts_odd_step_counts(steps):
     assert all(r.match for r in rows)
     assert [r.cx_predicted for r in rows] == [
         (steps // 2) * mlco_two_step_cx(n) + mlco_one_step_cx(n) for n in (4, 5, 7, 9)]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_scaling_sweep_checks_spray_law(steps):
+    # Spray steps gain nothing from composition: k steps cost k(12n - 26).
+    rows = [r for r in scaling_sweep([4, 6, 9], steps=steps, style=WingStyle.SPRAY,
+                                     executable=False)
+            if r.strategy == "MLCO"]
+    assert all(r.match for r in rows)
+    assert [r.cx_predicted for r in rows] == [steps * mlco_spray_step_cx(n)
+                                              for n in (4, 6, 9)]
 
 
 def test_scaling_sweep_skips_executable_when_disabled():
