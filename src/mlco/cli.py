@@ -21,7 +21,7 @@ from .ir import (
 )
 from .passes import DETO_PASSES, MLCO_PASSES, run_passes
 
-VERIFY_DEFAULT_MAX_QUBITS = 8
+VERIFY_DEFAULT_MAX_QUBITS = 10  # `optimize` verifies inputs this wide unless --no-verify
 
 
 def _params(args) -> PdeParams:

@@ -5,16 +5,27 @@ deliberately desk-scale: full unitaries up to 12 qubits, statevectors up
 to 24.
 
 `gate_unitary` (through `unitary_of_kind`) builds each gate's dense matrix
-and is the independent oracle.  `apply` and `unitary_of` do not multiply
-by it: they run in-place slice kernels (Häner & Steiger, SC 2017) on the
-state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a trailing
-batch axis.  Every gate but BARRIER and RCCX is a 2x2 on the target applied
-where every control is |1>, i.e. to two views of the tensor (target 0 and
-target 1, controls fixed to 1).  Diagonal kinds scale those views, X-type
-kinds swap them, H becomes sum and difference, and RZ scales only the
-target-1 view; the scalars left out (H's 1/sqrt 2, RZ's e^{-i theta/2})
-are multiplied in at the end.  RCCX runs as `rccx_decomposition`, which
-defines its unitary.
+and is the independent oracle.  No simulator multiplies by it.
+
+`apply` runs a block of states over the basis rows they occupy (`_Rows`):
+an array of basis indices and one row of amplitudes per index, one column
+per state.  X-type kinds only flip index bits, diagonal kinds scale rows,
+and the other kinds pair each row with its partner on the target bit,
+adding a missing partner at zero and dropping a row left at most
+`DROP_TOL` in every column; the dropped norm is reported, never lost.
+Wires above the block start in |0>, so a circuit whose ancillas return to
+|0> occupies few rows beyond the block's own.
+
+`unitary_of`, and `apply` once its rows outgrow a quarter of a dense state
+(the dense switch), run in-place slice kernels (Häner & Steiger, SC 2017)
+on the state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a
+trailing batch axis.  Every gate but BARRIER and RCCX is a 2x2 on the
+target applied where every control is |1>, i.e. to two views of the tensor
+(target 0 and target 1, controls fixed to 1).  Diagonal kinds scale those
+views, X-type kinds swap them, H becomes sum and difference, and RZ scales
+only the target-1 view; the scalars left out (H's 1/sqrt 2, RZ's
+e^{-i theta/2}) are multiplied in at the end.  RCCX runs as
+`rccx_decomposition`, which defines its unitary.
 """
 
 from __future__ import annotations
@@ -35,6 +46,12 @@ FULL_UNITARY_MAX_QUBITS = 10  # equivalent_up_to_phase adds the full-unitary che
 DEFAULT_TRIALS = 20
 PHASE_TOL = 1e-10
 ANCILLA_LEAK_TOL = 1e-20
+
+DROP_TOL = 1e-14  # apply drops a row whose amplitude is at most this in every column
+# apply's row kernel holds at most max(2**n // 4, ROW_BLOCK_FLOOR) amplitudes
+# on n wires; a block that would outgrow that goes dense one column at a time.
+ROW_BLOCK_FLOOR = 1 << 16
+MIX_CHUNK_AMPLITUDES = 1 << 12  # the row kernel mixes this many amplitudes at a time
 
 
 class CapacityError(RuntimeError):
@@ -169,8 +186,10 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
         np.copyto(a, tmp)
         return _SQRT_HALF
     if kind in X_FAMILY_KINDS:
+        # a and b interleave in memory: np.copyto(a, b) would first copy all
+        # of b, where a ufunc streams it through a small buffer.
         np.copyto(tmp, a)
-        np.copyto(a, b)
+        np.positive(b, out=a)
         np.copyto(b, tmp)
         return 1.0
     u = _target_matrix(gate)
@@ -191,13 +210,16 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
     return 1.0
 
 
-def _run(tensor: np.ndarray, circuit: Circuit) -> None:
-    """Apply every gate of `circuit` in place to `tensor`."""
+def _scratch(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = tensor.size // 2
-    scratch = (np.empty(half, dtype=complex), np.empty(half, dtype=complex))
+    return np.empty(half, dtype=complex), np.empty(half, dtype=complex)
+
+
+def _run(tensor: np.ndarray, gates, n: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """Apply `gates` in place to `tensor`, shaped (2,)*n (+ trailing batch axes)."""
     factor = 1.0
-    for g in circuit.gates:
-        factor *= _apply_gate(tensor, g, circuit.num_qubits, scratch)
+    for g in gates:
+        factor *= _apply_gate(tensor, g, n, scratch)
         if abs(factor) < _FACTOR_FLOOR:
             tensor *= factor
             factor = 1.0
@@ -205,19 +227,172 @@ def _run(tensor: np.ndarray, circuit: Circuit) -> None:
         tensor *= factor
 
 
-def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a statevector of dimension 2**num_qubits.
+def _primitive_gates(circuit: Circuit) -> list[Gate]:
+    """The circuit's gates with RCCX replaced by its decomposition and barriers dropped."""
+    out: list[Gate] = []
+    for g in circuit.gates:
+        if g.kind is GateKind.RCCX:
+            out += rccx_decomposition(*g.qubits)
+        elif g.kind is not GateKind.BARRIER:
+            out.append(g)
+    return out
 
-    The caller's array is left unchanged; real input is accepted.
+
+class _Rows:
+    """A block of states held as the basis rows they occupy.
+
+    `idx[:size]` are distinct basis indices and `amp[:size]` their
+    amplitudes, one column per state.  Both are allocated at `capacity` rows
+    once; `np.zeros` leaves the pages past the rows in use untouched.
+    `dropped` is the norm, per column, of every row dropped so far.
+    """
+
+    def __init__(self, block: np.ndarray, capacity: int):
+        dim, columns = block.shape
+        self.size = dim
+        self.idx = np.zeros(capacity, dtype=np.int64)
+        self.idx[:dim] = np.arange(dim)
+        self.amp = np.zeros((capacity, columns), dtype=complex)
+        self.amp[:dim] = block
+        self.dropped = np.zeros(columns)
+        # Scratch for the mixing kernel, which works a chunk of rows at a time.
+        self._chunk = max(1, MIX_CHUNK_AMPLITUDES // columns)
+        self._scratch = np.empty((4, min(self._chunk, capacity), columns), dtype=complex)
+        self._magnitude = np.empty(self._scratch.shape[1:])
+
+    def run(self, gates: list[Gate]) -> int:
+        """Apply gates in order; return the index of the first gate not applied,
+        which is the first that would grow the rows beyond capacity."""
+        for i, g in enumerate(gates):
+            ctrl = sum(1 << c for c in g.controls)
+            bit = 1 << g.target
+            idx = self.idx[:self.size]
+            sel = np.flatnonzero((idx & ctrl) == ctrl) if ctrl else slice(None)
+            if g.kind in X_FAMILY_KINDS:
+                idx[sel] ^= bit
+                continue
+            u = _target_matrix(g)
+            if u[0, 1] == 0 and u[1, 0] == 0:
+                scale = np.where(idx & bit, u[1, 1], u[0, 0])
+                if ctrl:
+                    scale[(idx & ctrl) != ctrl] = 1.0
+                self.amp[:self.size] *= scale[:, None]
+            elif not self._mix(np.arange(self.size)[sel], bit, u):
+                return i
+        return len(gates)
+
+    def _mix(self, sel: np.ndarray, bit: int, u: np.ndarray) -> bool:
+        """Apply the 2x2 `u` to the rows `sel` paired on `bit`; False, with
+        nothing changed, if the missing partners do not fit."""
+        size = self.size
+        order = np.argsort(self.idx[:size])
+        held = self.idx[order]
+        want = self.idx[sel] ^ bit
+        at = np.minimum(np.searchsorted(held, want), size - 1)
+        missing = held[at] != want
+        partner = order[at]
+        new = want[missing]
+        if size + len(new) > len(self.idx):
+            return False
+        # A partner not yet held joins with zero amplitude.
+        partner[missing] = np.arange(size, size + len(new))
+        self.idx[size:size + len(new)] = new
+        self.amp[size:size + len(new)] = 0.0
+        self.size += len(new)
+        one = (self.idx[sel] & bit) != 0
+        lo = np.concatenate((sel[~one], partner[one & missing]))
+        hi = np.concatenate((partner[~one], sel[one & missing]))
+        tiny = []
+        for start in range(0, len(lo), self._chunk):
+            rows_lo, rows_hi = lo[start:start + self._chunk], hi[start:start + self._chunk]
+            a, b, out, tmp = self._scratch[:, :len(rows_lo)]
+            # mode="clip" (the rows are in range) writes to `out` unbuffered.
+            np.take(self.amp, rows_lo, axis=0, out=a, mode="clip")
+            np.take(self.amp, rows_hi, axis=0, out=b, mode="clip")
+            np.multiply(a, u[0, 0], out=out)
+            np.multiply(b, u[0, 1], out=tmp)
+            out += tmp
+            np.multiply(a, u[1, 0], out=tmp)
+            b *= u[1, 1]
+            b += tmp
+            self.amp[rows_lo] = out
+            self.amp[rows_hi] = b
+            magnitude = self._magnitude[:len(rows_lo)]
+            for rows, values in ((rows_lo, out), (rows_hi, b)):
+                np.abs(values, out=magnitude)
+                tiny.append(rows[magnitude.max(axis=1) <= DROP_TOL])
+        self._drop(np.concatenate(tiny))
+        return True
+
+    def _drop(self, gone: np.ndarray) -> None:
+        """Remove the rows `gone`, adding their norm to `dropped`; the last
+        rows in use move into the holes."""
+        if not len(gone):
+            return
+        self.dropped += np.sqrt(np.sum(np.abs(self.amp[gone]) ** 2, axis=0))
+        size = self.size - len(gone)
+        holes = gone[gone < size]
+        staying = np.ones(len(gone), dtype=bool)
+        staying[gone[gone >= size] - size] = False
+        movers = size + np.flatnonzero(staying)
+        self.idx[holes] = self.idx[movers]
+        self.amp[holes] = self.amp[movers]
+        self.size = size
+
+
+def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Apply the circuit to one state or a block of states on its low wires.
+
+    `states` has shape (2**m,) or (2**m, B) with m <= num_qubits: one state
+    per column on wires 0..m-1, every higher wire starting in |0>.  Returns
+    `(out, outside)`.  `out` has the shape of `states` and holds the output
+    amplitudes with every wire >= m back in |0>.  `outside` (a float, or one
+    value per column) bounds the norm of everything else: the norm left on
+    the higher wires plus the norm of every row dropped on the way, which
+    also bounds the error of `out`.  The caller's array is left unchanged;
+    real input is accepted.
     """
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise CapacityError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
-    if state.shape != (2 ** n,):
+    dim = states.shape[0] if states.ndim in (1, 2) else 0
+    if dim < 1 or states.size == 0 or dim & (dim - 1) or dim > 2 ** n:
         raise ValueError("statevector dimension mismatch")
-    tensor = state.astype(complex).reshape((2,) * n)
-    _run(tensor, circuit)
-    return tensor.reshape(-1)
+    block = states.reshape(dim, -1)
+    columns = block.shape[1]
+    gates = _primitive_gates(circuit)
+    capacity = min(2 ** n, max(2 ** n // 4, ROW_BLOCK_FLOOR) // columns)
+    idx, amp, dropped, stop = np.arange(dim), block, np.zeros(columns), 0
+    if dim <= capacity:
+        rows = _Rows(block, capacity)
+        stop = rows.run(gates)
+        idx, amp, dropped = rows.idx[:rows.size], rows.amp[:rows.size], rows.dropped
+        del rows  # frees the mixing scratch before a dense switch
+    out = np.zeros((dim, columns), dtype=complex)
+    if stop == len(gates):
+        inside = idx < dim
+        if inside.all():
+            out[idx] = amp
+            left = np.zeros(columns)
+        else:
+            out[idx[inside]] = amp[inside]
+            left = np.sqrt(np.sum(np.abs(amp[~inside]) ** 2, axis=0))
+    else:
+        # Dense switch: the remaining gates run one column at a time.
+        left = np.empty(columns)
+        vec = np.empty(2 ** n, dtype=complex)
+        scratch = _scratch(vec)
+        for j in range(columns):
+            vec.fill(0.0)
+            vec[idx] = amp[:, j]
+            _run(vec.reshape((2,) * n), gates[stop:], n, scratch)
+            out[:, j] = vec[:dim]
+            rest = vec[dim:]
+            left[j] = math.sqrt(np.vdot(rest, rest).real)
+    outside = left + dropped
+    if states.ndim == 1:
+        return out[:, 0], float(outside[0])
+    return out, outside
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -227,7 +402,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         raise CapacityError(f"{n} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
     dim = 2 ** n
     tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    _run(tensor, circuit)
+    _run(tensor, circuit.gates, n, _scratch(tensor))
     return tensor.reshape(dim, dim)
 
 
@@ -345,8 +520,10 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
     of the two data widths and every higher wire must start and end in |0>.
     With `ancillas_zero`, a circuit that leaves population outside that
     subspace fails the check, with a reported deviation no smaller than the leak.
-    Circuits of at most FULL_UNITARY_MAX_QUBITS wires also get the full-unitary
-    check.
+    The trial states run through `apply` as one block per circuit; the norm
+    of the rows it drops counts against both the leak and the fidelity, so
+    dropping can fail a check but never pass one.  Circuits of at most
+    FULL_UNITARY_MAX_QUBITS wires also get the full-unitary check.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -354,25 +531,32 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
     if max(a.num_qubits, b.num_qubits) > STATEVECTOR_QUBIT_CAP:
         raise CapacityError("width exceeds statevector cap")
     rng = np.random.default_rng(seed)
+    psis = np.empty((2 ** width, trials), dtype=complex)
+    for t in range(trials):
+        psi = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
+        psis[:, t] = psi / np.linalg.norm(psi)
     worst = 0.0
     ok = True
-    for _ in range(trials):
-        psi = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
-        psi /= np.linalg.norm(psi)
-        outs = []
-        for circ in (a, b):
-            full = np.zeros(2 ** circ.num_qubits, dtype=complex)
-            full[:2 ** width] = psi
-            out = apply(circ, full)
-            leak = float(np.sum(np.abs(out[2 ** width:]) ** 2))
-            if ancillas_zero and leak > ANCILLA_LEAK_TOL:
-                ok = False
-                worst = max(worst, leak)
-            outs.append(out[:2 ** width])
-        fidelity = abs(np.vdot(outs[0], outs[1]))
-        worst = max(worst, 1.0 - fidelity)
-        if fidelity < 1.0 - PHASE_TOL:
+    outs = []
+    slack = np.zeros(trials)
+    # The wider circuit runs first, so that the narrower one's output is not
+    # held while the wider one may need a dense state per trial.
+    for circ in sorted((a, b), key=lambda c: -c.num_qubits):
+        out, outside = apply(circ, psis)
+        outs.append(out)
+        leak = outside ** 2
+        dirty = leak > ANCILLA_LEAK_TOL
+        if ancillas_zero and dirty.any():
             ok = False
+            worst = max(worst, float(leak.max()))
+        # `outside` also bounds how far `out` is from the exact output (the
+        # rows apply dropped), so it lowers the fidelity.  A column that
+        # failed the leak test fails the check already.
+        slack += np.where(dirty, 0.0, outside) if ancillas_zero else outside
+    fidelity = np.abs(np.einsum("ij,ij->j", outs[0].conj(), outs[1])) - slack
+    worst = max(worst, float(np.max(1.0 - fidelity)))
+    if np.any(fidelity < 1.0 - PHASE_TOL):
+        ok = False
     if max(a.num_qubits, b.num_qubits) <= FULL_UNITARY_MAX_QUBITS:
         (ua, leak_a), (ub, leak_b) = data_block(a, width), data_block(b, width)
         leak = max(leak_a, leak_b)

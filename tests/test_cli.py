@@ -47,6 +47,14 @@ def test_build_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_optimize_verifies_ten_qubit_source_by_default(tmp_path, capsys):
+    src, out_path = tmp_path / "src10.mlco", tmp_path / "opt10.mlco"
+    assert run(capsys, "build", "-n", "10", "-k", "2", "--out", str(src))[0] == 0
+    code, out, _ = run(capsys, "optimize", "--in", str(src), "--out", str(out_path))
+    assert code == 0
+    assert "verification: pass" in out and "(20 random states)" in out
+
+
 def test_optimize_mlco_to_logs_with_verify(built, tmp_path, capsys):
     out_path = tmp_path / "opt.mlco"
     code, out, _ = run(capsys, "optimize", "--in", str(built),

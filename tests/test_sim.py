@@ -67,10 +67,17 @@ def _min_wires(kind):
     return _fixed_controls(kind) + 1
 
 
+def _apply_whole(circuit, state):
+    """sim.apply on a state over every wire, which leaves nothing outside."""
+    out, outside = sim.apply(circuit, state)
+    assert outside <= 1e-12
+    return out
+
+
 def _assert_matches_reference(circuit, rng):
     n = circuit.num_qubits
     state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    assert np.abs(sim.apply(circuit, state)
+    assert np.abs(_apply_whole(circuit, state)
                   - _reference_apply(circuit, state)).max() < 1e-12
     assert np.abs(sim.unitary_of(circuit) - _reference_unitary(circuit)).max() < 1e-12
 
@@ -116,7 +123,7 @@ def test_kernel_on_gate_spanning_every_wire(kind):
     assert len(gate.qubits) == n
     c = Circuit(n, (gate,))
     state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    assert np.abs(sim.apply(c, state) - _reference_apply(c, state)).max() < 1e-12
+    assert np.abs(_apply_whole(c, state) - _reference_apply(c, state)).max() < 1e-12
 
 
 def test_apply_leaves_input_unchanged_and_accepts_real_state():
@@ -124,16 +131,18 @@ def test_apply_leaves_input_unchanged_and_accepts_real_state():
     c = Circuit(3, (h(0), cx(0, 1), rz(2, 0.4), s(1), ccx(0, 1, 2), x(2)))
     for state in (rng.normal(size=8), rng.normal(size=8) + 1j * rng.normal(size=8)):
         before = state.copy()
-        out = sim.apply(c, state)
+        out = _apply_whole(c, state)
         assert np.array_equal(state, before) and state.dtype == before.dtype
         assert np.abs(out - _reference_apply(c, state)).max() < 1e-12
 
 
 def test_apply_survives_long_runs_of_h():
-    # H's 1/sqrt 2 is multiplied in late; 3000 of them must not overflow.
+    # 3001 H in a row.  The dense kernel multiplies H's 1/sqrt 2 in late,
+    # so 3000 of them must not overflow it.
     c = Circuit(1, (h(0),) * 3001)
-    out = sim.apply(c, np.array([1.0, 0.0]))
+    out = _apply_whole(c, np.array([1.0, 0.0]))
     assert np.abs(out - np.array([1, 1]) / np.sqrt(2)).max() < 1e-12
+    assert np.abs(sim.unitary_of(c) - sim.unitary_of(Circuit(1, (h(0),)))).max() < 1e-12
 
 
 def test_apply_matches_unitary():
@@ -141,7 +150,100 @@ def test_apply_matches_unitary():
     rng = np.random.default_rng(0)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
-    assert np.abs(sim.apply(c, v) - sim.unitary_of(c) @ v).max() < 1e-12
+    assert np.abs(_apply_whole(c, v) - sim.unitary_of(c) @ v).max() < 1e-12
+
+
+def test_apply_rejects_a_block_of_the_wrong_size():
+    c = Circuit(3, (h(0),))
+    for shape in ((6,), (16,), (8, 2, 2), (0, 3), (8, 0)):
+        with pytest.raises(ValueError, match="dimension"):
+            sim.apply(c, np.ones(shape))
+
+
+def _reference_block(circuit, block):
+    """Per column, the dense reference output on the low wires and the norm
+    it leaves on the higher ones."""
+    dim, n = block.shape[0], circuit.num_qubits
+    outs, left = [], []
+    for column in block.T:
+        full = np.zeros(2 ** n, dtype=complex)
+        full[:dim] = column
+        out = _reference_apply(circuit, full)
+        outs.append(out[:dim])
+        left.append(np.linalg.norm(out[dim:]))
+    return np.array(outs).T, np.array(left)
+
+
+def _random_block(rng, dim, columns):
+    block = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+    return block / np.linalg.norm(block, axis=0)
+
+
+def test_apply_block_on_low_wires_matches_reference_per_column():
+    # Ancillas 3..5 go through H, RCCX, CY and RX; the closing X on wire 5
+    # leaves population above the block in every column.
+    rng = np.random.default_rng(21)
+    c = Circuit(6, (h(3), rccx(0, 1, 4), Gate(GateKind.CY, (4,), 3), h(0),
+                    Gate(GateKind.RX, (), 5, 0.7), cx(5, 2), rz(4, 0.3),
+                    Gate(GateKind.RX, (), 5, -0.7), rccx(0, 1, 4), h(3), x(5)),
+                num_ancillas=3)
+    block = _random_block(rng, 8, 5)
+    out, outside = sim.apply(c, block)
+    want, left = _reference_block(c, block)
+    assert np.abs(out - want).max() < 1e-12
+    assert np.abs(outside - left).max() < 1e-12 and np.all(left > 0.5)
+    one, one_outside = sim.apply(c, block[:, 0])
+    assert np.abs(one - want[:, 0]).max() < 1e-12 and abs(one_outside - left[0]) < 1e-12
+
+
+def test_dense_switch_matches_reference(monkeypatch):
+    # H on every wire fills all 2**8 rows; with no floor the row kernel may
+    # hold a quarter of that, so the block must go dense column by column.
+    monkeypatch.setattr(sim, "ROW_BLOCK_FLOOR", 0)
+    runs = []
+    dense_run = sim._run
+    monkeypatch.setattr(sim, "_run", lambda *args: runs.append(1) or dense_run(*args))
+    rng = np.random.default_rng(22)
+    every = tuple(h(q) for q in range(8))
+    c = Circuit(8, every + (ccx(0, 5, 6), Gate(GateKind.RX, (), 7, 0.4), rz(4, 1.1),
+                            cx(6, 1)) + every, num_ancillas=4)
+    block = _random_block(rng, 16, 4)
+    out, outside = sim.apply(c, block)
+    assert len(runs) == 4
+    want, left = _reference_block(c, block)
+    assert np.abs(out - want).max() < 1e-12
+    assert np.abs(outside - left).max() < 1e-12
+
+
+def test_dropped_rows_bound_the_error():
+    # RX(1e-15) on the ancilla leaves rows of amplitude about 5e-16, which
+    # are dropped; CX then moves what is left and the second RX makes more.
+    eps = 1e-15
+    c = Circuit(3, (Gate(GateKind.RX, (), 2, eps), cx(2, 0), h(1),
+                    Gate(GateKind.RX, (), 2, eps), cx(2, 1)), num_ancillas=1)
+    block = _random_block(np.random.default_rng(23), 4, 3)
+    out, outside = sim.apply(c, block)
+    for j in range(3):
+        full = np.zeros(8, dtype=complex)
+        full[:4] = block[:, j]
+        exact = _reference_apply(c, full)
+        error = np.linalg.norm(exact - np.concatenate((out[:, j], np.zeros(4))))
+        assert 0 < error <= outside[j] < 1e-14
+
+
+def test_check_counts_dropped_rows_and_keeps_small_amplitudes():
+    # RX(1.8e-14) on the ancilla leaves rows of at most 0.9e-14: dropped, and
+    # the deviation reports their norm.  RX(1e-6) and back leaves rows of
+    # 5e-7 in between: kept, so the ancilla returns to |0> exactly.
+    a = Circuit(3, (h(0), cx(0, 1)))
+    tiny = Circuit(3, a.gates + (Gate(GateKind.RX, (), 2, 1.8e-14),), num_ancillas=1)
+    ok, dev = sim.equivalent_up_to_phase(a, tiny, trials=4)
+    assert ok and 5e-15 < dev < 1e-13
+    there_and_back = Circuit(3, (Gate(GateKind.RX, (), 2, 1e-6), h(1),
+                                 Gate(GateKind.RX, (), 2, -1e-6), h(1)) + a.gates,
+                             num_ancillas=1)
+    ok, dev = sim.equivalent_up_to_phase(a, there_and_back, trials=4)
+    assert ok and dev < 1e-13
 
 
 def test_controlled_gate_orientation():
@@ -251,3 +353,98 @@ def test_trotter_error_second_order_in_tau():
         p = PdeParams(n=5, tau=tau)
         errs.append(sim.trotter_error(p, build_one_step(p, WingStyle.SPRAY)))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+# ---------------------------------------------------------------------------
+# equivalent_up_to_phase against its per-trial dense loop
+
+def _reference_equivalent(a, b, trials=sim.DEFAULT_TRIALS, seed=0):
+    """The check as it ran before trials were batched: one trial state at a
+    time through a dense statevector of every wire (here the reference
+    kernel), then the same full-unitary check."""
+    width = min(a.num_data_qubits, b.num_data_qubits)
+    rng = np.random.default_rng(seed)
+    worst, ok = 0.0, True
+    for _ in range(trials):
+        psi = rng.normal(size=2 ** width) + 1j * rng.normal(size=2 ** width)
+        psi /= np.linalg.norm(psi)
+        outs = []
+        for circ in (a, b):
+            full = np.zeros(2 ** circ.num_qubits, dtype=complex)
+            full[:2 ** width] = psi
+            out = _reference_apply(circ, full)
+            leak = float(np.sum(np.abs(out[2 ** width:]) ** 2))
+            if leak > sim.ANCILLA_LEAK_TOL:
+                ok = False
+                worst = max(worst, leak)
+            outs.append(out[:2 ** width])
+        fidelity = abs(np.vdot(outs[0], outs[1]))
+        worst = max(worst, 1.0 - fidelity)
+        if fidelity < 1.0 - sim.PHASE_TOL:
+            ok = False
+    if max(a.num_qubits, b.num_qubits) <= sim.FULL_UNITARY_MAX_QUBITS:
+        (ua, leak_a), (ub, leak_b) = sim.data_block(a, width), sim.data_block(b, width)
+        leak = max(leak_a, leak_b)
+        if leak > np.sqrt(sim.ANCILLA_LEAK_TOL):
+            return False, float(max(worst, leak))
+        dev = float(np.max(np.abs(sim.align_phase(ua, ub) - ub)))
+        worst = max(worst, dev)
+        if dev > 1e-9:
+            ok = False
+    return ok, worst
+
+
+HIGS_KINDS = (GateKind.X, GateKind.H, GateKind.S, GateKind.T, GateKind.RZ, GateKind.RX,
+              GateKind.CX, GateKind.CZ, GateKind.CRZ, GateKind.CCX, GateKind.CCRZ,
+              GateKind.MCRZ)
+
+
+def _random_higs(rng, n):
+    """A HiGS circuit on n wires with at least one MCRZ on n-1 controls, so
+    that lowering it needs n-3 ancillas; half mirror a prefix so that the
+    MiGS level meets conjugate Toffoli pairs."""
+    gates = [_random_gate(rng, HIGS_KINDS[rng.integers(len(HIGS_KINDS))], n)
+             for _ in range(int(rng.integers(4, 12)))]
+    wires = [int(q) for q in rng.permutation(n)]
+    gates.insert(int(rng.integers(len(gates) + 1)),
+                 mcrz(tuple(wires[1:]), wires[0], float(rng.uniform(-np.pi, np.pi))))
+    if rng.random() < 0.5:
+        prefix = gates[:int(rng.integers(1, len(gates) + 1))]
+        gates = prefix + [g.inverse() for g in reversed(prefix)] + gates
+    return Circuit(n, tuple(gates))
+
+
+def _mutants(rng, circ):
+    """One data-wire CX and one ancilla-wire CX deleted, and an X appended on
+    an ancilla: the last two leave the ancillas dirty."""
+    data = circ.num_data_qubits
+    out = []
+    for on_ancilla in (False, True):
+        sites = [i for i, g in enumerate(circ.gates)
+                 if g.kind is GateKind.CX and (max(g.qubits) >= data) == on_ancilla]
+        if sites:
+            site = sites[int(rng.integers(len(sites)))]
+            out.append(circ.with_gates(circ.gates[:site] + circ.gates[site + 1:]))
+    out.append(circ.with_gates(circ.gates + (x(int(rng.integers(data, circ.num_qubits))),)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_check_matches_per_trial_reference(seed):
+    # 5 and 7 data wires: 7 wires with the full-unitary check, 11 without.
+    from mlco.passes import MLCO_PASSES, run_passes
+    rng = np.random.default_rng(300 + seed)
+    source = _random_higs(rng, 5 if seed % 2 else 7)
+    _, stages = run_passes(source, MLCO_PASSES)
+    laddered = [s.circuit for s in stages if s.circuit.num_ancillas]
+    assert any(g.kind is GateKind.RCCX for c in laddered for g in c.gates)
+    logs = laddered[-1]
+    assert any(g.kind is GateKind.H and g.target >= logs.num_data_qubits for g in logs.gates)
+    verdicts = []
+    for b in laddered + _mutants(rng, logs):
+        ok, dev = sim.equivalent_up_to_phase(source, b, trials=8, seed=seed)
+        want_ok, want_dev = _reference_equivalent(source, b, trials=8, seed=seed)
+        assert ok == want_ok and abs(dev - want_dev) <= 1e-12, (ok, dev, want_ok, want_dev)
+        verdicts.append(ok)
+    assert verdicts[:len(laddered)] == [True] * len(laddered)
+    assert verdicts[-1] is False
