@@ -95,8 +95,8 @@ def cmd_optimize(args) -> int:
             print("warning: beyond simulation capacity; census-only check",
                   file=sys.stderr)
         else:
-            ok, fid = sim.equivalent_up_to_phase(circ, out, ancillas_zero=True,
-                                                 trials=args.trials, seed=args.seed)
+            ok, fid = sim.equivalent_up_to_phase(circ, out, trials=args.trials,
+                                                 seed=args.seed)
             print(f"verification: {'pass' if ok else 'FAIL'} "
                   f"(max deviation {fid:.3g}) {_checks_ran(circ, out, args.trials)}")
             if not ok:
@@ -108,8 +108,7 @@ def cmd_verify(args) -> int:
     a = read_circuit(Path(args.a).read_bytes())
     if args.b:
         b = read_circuit(Path(args.b).read_bytes())
-        ok, dev = sim.equivalent_up_to_phase(a, b, ancillas_zero=True,
-                                             trials=args.trials, seed=args.seed)
+        ok, dev = sim.equivalent_up_to_phase(a, b, trials=args.trials, seed=args.seed)
         print(f"max deviation: {dev:.3e}  {'pass' if ok else 'FAIL'} "
               f"{_checks_ran(a, b, args.trials)}")
         return 0 if ok else 1

@@ -1,8 +1,8 @@
 """Ground-truth dense simulation: gate unitaries, statevectors, Hamiltonians.
 
 Everything the passes claim is checked against this module.  Capacity is
-deliberately desk-scale: full unitaries up to 12 qubits, statevectors up
-to 24.
+deliberately desk-scale: full unitaries up to 12 qubits (column blocks up
+to as many amplitudes), statevectors up to 24.
 
 `gate_unitary` (through `unitary_of_kind`) builds each gate's dense matrix
 and is the independent oracle.  No simulator multiplies by it.
@@ -16,7 +16,7 @@ adding a missing partner at zero and dropping a row left at most
 Wires above the block start in |0>, so a circuit whose ancillas return to
 |0> occupies few rows beyond the block's own.
 
-`unitary_of`, and `apply` once its rows outgrow a quarter of a dense state
+`unitary_of`, and `apply` once its rows would outgrow its amplitude budget
 (the dense switch), run in-place slice kernels (Häner & Steiger, SC 2017)
 on the state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a
 trailing batch axis.  Every gate but BARRIER and RCCX is a 2x2 on the
@@ -50,7 +50,8 @@ ANCILLA_LEAK_TOL = 1e-20
 DROP_TOL = 1e-14  # apply drops a row whose amplitude is at most this in every column
 # apply's row kernel holds at most max(2**n // 4, ROW_BLOCK_FLOOR) amplitudes
 # on n wires; a block that would outgrow that goes dense one column at a time.
-ROW_BLOCK_FLOOR = 1 << 16
+# The floor keeps DEFAULT_TRIALS states that fill all 2**13 rows in the kernel.
+ROW_BLOCK_FLOOR = 1 << 18
 MIX_CHUNK_AMPLITUDES = 1 << 12  # the row kernel mixes this many amplitudes at a time
 
 
@@ -66,7 +67,6 @@ class NonHermitianError(ValueError):
     """expm_hermitian called on a non-Hermitian matrix."""
 
 
-_I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.diag([1, -1]).astype(complex)
@@ -395,15 +395,23 @@ def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray 
     return out, outside
 
 
-def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full circuit unitary (columns = images of basis states)."""
+def unitary_of(circuit: Circuit, width: int | None = None) -> np.ndarray:
+    """The columns of the circuit's unitary for the basis states of the low
+    `width` wires, every higher wire in |0> (default: every column).
+
+    Returns shape (2**n, 2**width).  The 2**(n + width) amplitudes built are
+    capped at those of a full unitary on UNITARY_QUBIT_CAP wires.
+    """
     n = circuit.num_qubits
-    if n > UNITARY_QUBIT_CAP:
-        raise CapacityError(f"{n} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
-    dim = 2 ** n
-    tensor = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    _run(tensor, circuit.gates, n, _scratch(tensor))
-    return tensor.reshape(dim, dim)
+    width = n if width is None else width
+    if not 0 <= width <= n:
+        raise ValueError(f"width {width} is not in 0..{n}")
+    if n + width > 2 * UNITARY_QUBIT_CAP:
+        raise CapacityError(f"{n} qubits at width {width} exceeds unitary cap "
+                            f"{UNITARY_QUBIT_CAP}")
+    u = np.eye(2 ** n, 2 ** width, dtype=complex)
+    _run(u.reshape((2,) * n + (2 ** width,)), circuit.gates, n, _scratch(u))
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +428,6 @@ def shift_minus(m: int) -> np.ndarray:
 
 def shift_plus(m: int) -> np.ndarray:
     return shift_minus(m).T.conj()
-
-
-def shift_minus_ladder(m: int) -> np.ndarray:
-    """Ladder-operator tensor expansion of S-; must equal shift_minus."""
-    dim = 2 ** m
-    total = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, m + 1):
-        term = np.eye(2 ** (m - j), dtype=complex)
-        term = np.kron(term, _SIGMA01)
-        for _ in range(j - 1):
-            term = np.kron(term, _SIGMA10)
-        total += term
-    return total
 
 
 def _h_term(m: int, j: int) -> np.ndarray:
@@ -505,21 +500,20 @@ def align_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def data_block(circuit: Circuit, width: int) -> tuple[np.ndarray, float]:
     """Unitary restricted to the ancilla-zero subspace of the first `width` qubits,
     and the largest population it leaves on a nonzero ancilla output."""
-    u = unitary_of(circuit)
+    u = unitary_of(circuit, width)
     dim = 2 ** width
-    leak = np.abs(u[dim:, :dim]) ** 2
-    return u[:dim, :dim], float(leak.max()) if leak.size else 0.0
+    top = float(np.abs(u[dim:]).max()) if len(u) > dim else 0.0
+    return u[:dim], top * top
 
 
-def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
-                           trials: int = DEFAULT_TRIALS, seed: int = 0,
-                           ) -> tuple[bool, float]:
+def equivalent_up_to_phase(a: Circuit, b: Circuit, trials: int = DEFAULT_TRIALS,
+                           seed: int = 0) -> tuple[bool, float]:
     """Random-state (and, when small, full-unitary) equivalence up to global phase.
 
     Circuits may differ in width; the common data register is the smaller
     of the two data widths and every higher wire must start and end in |0>.
-    With `ancillas_zero`, a circuit that leaves population outside that
-    subspace fails the check, with a reported deviation no smaller than the leak.
+    A circuit that leaves population outside that subspace fails the check,
+    with a reported deviation no smaller than the leak.
     The trial states run through `apply` as one block per circuit; the norm
     of the rows it drops counts against both the leak and the fidelity, so
     dropping can fail a check but never pass one.  Circuits of at most
@@ -546,13 +540,13 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
         outs.append(out)
         leak = outside ** 2
         dirty = leak > ANCILLA_LEAK_TOL
-        if ancillas_zero and dirty.any():
+        if dirty.any():
             ok = False
             worst = max(worst, float(leak.max()))
         # `outside` also bounds how far `out` is from the exact output (the
         # rows apply dropped), so it lowers the fidelity.  A column that
         # failed the leak test fails the check already.
-        slack += np.where(dirty, 0.0, outside) if ancillas_zero else outside
+        slack += np.where(dirty, 0.0, outside)
     fidelity = np.abs(np.einsum("ij,ij->j", outs[0].conj(), outs[1])) - slack
     worst = max(worst, float(np.max(1.0 - fidelity)))
     if np.any(fidelity < 1.0 - PHASE_TOL):
@@ -560,7 +554,7 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, ancillas_zero: bool = True,
     if max(a.num_qubits, b.num_qubits) <= FULL_UNITARY_MAX_QUBITS:
         (ua, leak_a), (ub, leak_b) = data_block(a, width), data_block(b, width)
         leak = max(leak_a, leak_b)
-        if ancillas_zero and leak > math.sqrt(ANCILLA_LEAK_TOL):
+        if leak > math.sqrt(ANCILLA_LEAK_TOL):
             return False, float(max(worst, leak))
         dev = float(np.max(np.abs(align_phase(ua, ub) - ub)))
         worst = max(worst, dev)

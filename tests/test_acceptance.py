@@ -97,8 +97,7 @@ def test_4_every_stage_preserves_semantics():
         one_step = build_one_step(params, WingStyle.STAIR)
         for stage in stages:
             ref = one_step if stage.name.startswith("1-step") else source
-            ok, dev = sim.equivalent_up_to_phase(
-                ref, stage.circuit, ancillas_zero=True, trials=20, seed=11)
+            ok, dev = sim.equivalent_up_to_phase(ref, stage.circuit, trials=20, seed=11)
             assert ok and dev <= 1e-10, (n, stage.name, dev)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

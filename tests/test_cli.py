@@ -263,6 +263,23 @@ def test_verify_against_product_formula(built, capsys):
     assert code == 0 and "pass" in out
 
 
+def test_verify_against_product_formula_beyond_the_full_unitary_cap(tmp_path, capsys,
+                                                                   monkeypatch):
+    # The n=7 output has 7 data wires and 4 ancillas.  With the cap at 10
+    # wires its full unitary is out of reach, but its 2**7 data columns are not.
+    monkeypatch.setattr(sim, "UNITARY_QUBIT_CAP", 10)
+    src, opt = tmp_path / "src.mlco", tmp_path / "opt.mlco"
+    run(capsys, "build", "-n", "7", "-k", "2", "--out", str(src))
+    run(capsys, "optimize", "--in", str(src), "--out", str(opt), "--no-verify")
+    wide = read_circuit(opt.read_bytes())
+    assert wide.num_qubits == 11
+    with pytest.raises(sim.CapacityError):
+        sim.unitary_of(wide)
+    code, out, _ = run(capsys, "verify", "--a", str(opt),
+                       "--against", "product-formula", "--steps", "2")
+    assert code == 0 and "pass" in out
+
+
 def test_verify_against_exact_evolution(built, capsys):
     code, out, _ = run(capsys, "verify", "--a", str(built),
                        "--against", "exact-evolution", "--steps", "2")

@@ -338,6 +338,12 @@ def test_capacity_guard():
     big = Circuit(sim.UNITARY_QUBIT_CAP + 1, ())
     with pytest.raises(sim.CapacityError):
         sim.unitary_of(big)
+    # A block of columns is capped by the amplitudes it builds, not its wires.
+    assert sim.unitary_of(big, 4).shape == (2 ** big.num_qubits, 16)
+    with pytest.raises(sim.CapacityError):
+        sim.unitary_of(Circuit(20, ()), 2 * sim.UNITARY_QUBIT_CAP - 19)
+    with pytest.raises(ValueError, match="width"):
+        sim.unitary_of(Circuit(3, ()), 4)
 
 
 def test_equivalence_needs_a_trial():
@@ -448,3 +454,51 @@ def test_batched_check_matches_per_trial_reference(seed):
         verdicts.append(ok)
     assert verdicts[:len(laddered)] == [True] * len(laddered)
     assert verdicts[-1] is False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unitary_of_low_columns_match_full_unitary(seed):
+    # The MLCO stages of a 5-data-wire source carry RCCX and H on their 2
+    # ancillas, the mutants leave the ancillas dirty, and the last circuit
+    # puts random gates of every kind anywhere.
+    from mlco.passes import MLCO_PASSES, run_passes
+    rng = np.random.default_rng(500 + seed)
+    _, stages = run_passes(_random_higs(rng, 5), MLCO_PASSES)
+    laddered = [s.circuit for s in stages if s.circuit.num_ancillas]
+    logs = laddered[-1]
+    assert any(g.kind is GateKind.RCCX for c in laddered for g in c.gates)
+    assert any(g.kind is GateKind.H and g.target >= logs.num_data_qubits for g in logs.gates)
+    n = logs.num_qubits
+    kinds = [k for k in GateKind if _min_wires(k) <= n]
+    mixed = Circuit(n, tuple(_random_gate(rng, kinds[rng.integers(len(kinds))], n)
+                             for _ in range(30)), num_ancillas=logs.num_ancillas)
+    leaks = []
+    for c in laddered + _mutants(rng, logs) + [mixed]:
+        full = sim.unitary_of(c)
+        for width in range(n + 1):
+            assert np.abs(sim.unitary_of(c, width) - full[:, :2 ** width]).max() < 1e-12
+        dim = 2 ** c.num_data_qubits
+        block, leak = sim.data_block(c, c.num_data_qubits)
+        assert np.abs(block - full[:dim, :dim]).max() < 1e-12
+        assert abs(leak - np.max(np.abs(full[dim:, :dim]) ** 2)) < 1e-12
+        leaks.append(leak)
+    assert max(leaks[:len(laddered)]) < sim.ANCILLA_LEAK_TOL and leaks[-2] > 0.1
+
+
+def test_filled_thirteen_wire_block_stays_in_row_kernel(monkeypatch):
+    # The stair n=8 k=4 output has 13 wires, and its DEFAULT_TRIALS trial
+    # states fill all 2**13 rows: the whole check must run in the row kernel.
+    from mlco.build import build_steps
+    from mlco.passes import pipeline_mlco
+    params = PdeParams(n=8)
+    source = build_steps(params, 4, WingStyle.STAIR)
+    out, _ = pipeline_mlco(params, 4, WingStyle.STAIR)
+    assert out.num_qubits == 13
+
+    def dense(*args):
+        raise AssertionError("the check went dense")
+
+    monkeypatch.setattr(sim, "_run", dense)
+    ok, dev = sim.equivalent_up_to_phase(source, out)
+    want_ok, want_dev = _reference_equivalent(source, out)
+    assert ok and want_ok and abs(dev - want_dev) <= 1e-13, (dev, want_dev)
