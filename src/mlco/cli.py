@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -58,9 +57,8 @@ _LAST_STAGE = {"higs": "HiGS simplified", "migs": "MiGS simplified",
 
 
 def _checks_ran(a: Circuit, b: Circuit, trials: int) -> str:
-    """The checks sim.equivalent_up_to_phase runs on a and b."""
-    full = max(a.num_qubits, b.num_qubits) <= sim.FULL_UNITARY_MAX_QUBITS
-    return f"({trials} random states{' + full unitary' if full else ''})"
+    """The check sim.equivalent_up_to_phase runs on a and b."""
+    return "(full unitary)" if sim.full_unitary_check(a, b) else f"({trials} random states)"
 
 
 def cmd_optimize(args) -> int:
@@ -91,16 +89,17 @@ def cmd_optimize(args) -> int:
     verify = args.verify if args.verify is not None \
         else circ.num_qubits <= VERIFY_DEFAULT_MAX_QUBITS
     if verify:
-        if max(circ.num_qubits, out.num_qubits) > sim.STATEVECTOR_QUBIT_CAP:
-            print("warning: beyond simulation capacity; census-only check",
-                  file=sys.stderr)
-        else:
+        try:
             ok, fid = sim.equivalent_up_to_phase(circ, out, trials=args.trials,
                                                  seed=args.seed)
-            print(f"verification: {'pass' if ok else 'FAIL'} "
-                  f"(max deviation {fid:.3g}) {_checks_ran(circ, out, args.trials)}")
-            if not ok:
-                return 1
+        except sim.CapacityError:
+            print("warning: beyond simulation capacity; census-only check",
+                  file=sys.stderr)
+            return 0
+        print(f"verification: {'pass' if ok else 'FAIL'} "
+              f"(max deviation {fid:.3g}) {_checks_ran(circ, out, args.trials)}")
+        if not ok:
+            return 1
     return 0
 
 
@@ -114,7 +113,7 @@ def cmd_verify(args) -> int:
         return 0 if ok else 1
     params = PdeParams(n=a.num_data_qubits, tau=args.tau, c=args.c, l=args.l)
     u, leak = sim.data_block(a, params.n)
-    if leak > math.sqrt(sim.ANCILLA_LEAK_TOL):
+    if leak > sim.ANCILLA_LEAK_TOL:
         print(f"ancilla leak: {leak:.3e}  FAIL")
         return 1
     if args.against == "product-formula":

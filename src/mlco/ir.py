@@ -302,10 +302,6 @@ class GateCensus:
     def __getitem__(self, key: str) -> int:
         return self.counts.get(key, 0)
 
-    def __add__(self, other: "GateCensus") -> "GateCensus":
-        keys = set(self.counts) | set(other.counts)
-        return GateCensus({k: self[k] + other[k] for k in keys})
-
     def __eq__(self, other):
         if isinstance(other, dict):
             return self.counts == {k: v for k, v in other.items() if v}

@@ -59,12 +59,6 @@ def deto_cost_model_cx(n: int) -> int:
     return 9 * n * n - 33 * n - 36
 
 
-def cost_table_identity_holds(n: int) -> bool:
-    """Check the DETO cost model, priced by the CX cost table, against the closed form."""
-    _, cost = pipeline_deto(PdeParams(n=n), 1, WingStyle.STAIR)
-    return cost == deto_cost_model_cx(n)
-
-
 @dataclass(frozen=True)
 class StageReport:
     name: str

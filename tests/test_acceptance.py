@@ -20,8 +20,7 @@ from mlco.passes import (
 )
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, EXECUTABLE_SWEEP_CAP, REFERENCE_ROWS,
-    cost_table_identity_holds, deto_cost_model_cx, mlco_two_step_cx,
-    reproduce_table1,
+    deto_cost_model_cx, mlco_two_step_cx, reproduce_table1,
 )
 
 
@@ -64,11 +63,10 @@ def test_3_scaling_formulas():
         assert census(stages["2-step LoGS input"])["CX"] == mlco_two_step_cx(n), n
     _, cost6 = pipeline_deto(PdeParams(n=6), 1, WingStyle.STAIR, mode="cost-model")
     assert cost6 == 114
-    for n in (8, 12, 16, 20):
+    for n in range(8, 65):
         _, cost = pipeline_deto(PdeParams(n=n), 1, WingStyle.STAIR,
                                 mode="cost-model")
         assert cost == deto_cost_model_cx(n), n
-    assert all(cost_table_identity_holds(n) for n in range(8, 65))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"\nPASS criterion 3: 2(10n-21) and 9n^2-33n-36 laws exact "

