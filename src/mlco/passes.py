@@ -9,6 +9,7 @@ pass is deterministic.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -53,47 +54,89 @@ def _merged(a: Gate, b: Gate) -> Gate | None:
 
 
 def cancel_adjacent(circuit: Circuit) -> Circuit:
-    """Cancel inverse pairs and merge rotations across commuting gates, to fixpoint."""
+    """Cancel inverse pairs and merge rotations across commuting gates, to fixpoint.
+
+    A sweep goes left to right.  Each gate scans the gates after it for an
+    inverse or merge partner, skipping gates off its wires and stopping at
+    the first one it does not commute with; after a cancellation or merge
+    the sweep steps back one gate.
+
+    A scan that finds no partner marks its gate clean and registers the
+    gate as a watcher of every gate it examined: those sharing one of its
+    wires, up to and including the one that stopped it.  Only deleting or
+    replacing one of those can change what the scan finds, and both mark
+    the watchers dirty again.  A sweep scans only dirty gates and ends when
+    none is left; a sweep that starts with none is the confirming sweep,
+    which counts against `MAX_SWEEPS` like any other.
+    """
     tol, cap = ANGLE_TOLERANCE, MAX_SWEEPS
-    gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
+    # A merge that reaches a zero angle drops its gate at once, so zero
+    # rotations need dropping only here.
+    gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER
+             and not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
+    # Gates are known by a key that a merge renews; `watchers` holds the
+    # keys of the live gates.
+    keys = list(range(len(gates)))
+    fresh = itertools.count(len(gates))
+    watchers: dict[int, list[int]] = {key: [] for key in keys}
+    dirty = set(keys)
+
+    def retire(key: int) -> None:
+        dirty.discard(key)
+        dirty.update(w for w in watchers.pop(key) if w in watchers)
+
+    def drop(pos: int) -> None:
+        key = keys[pos]
+        del gates[pos], keys[pos]
+        retire(key)
+
     for _ in range(cap):
         changed = False
-        gates = [g for g in gates
-                 if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
         i = 0
-        while i < len(gates):
+        while i < len(gates) and dirty:
+            key = keys[i]
+            if key not in dirty:
+                i += 1
+                continue
             g = gates[i]
+            inverse_g = g.inverse()
             wires = set(g.qubits)
-            j = i + 1
+            examined = []
             acted = False
-            while j < len(gates):
+            for j in range(i + 1, len(gates)):
                 other = gates[j]
                 # A gate off g's wires is no inverse or merge partner and
                 # commutes with g; one with another target can only commute.
                 if wires.isdisjoint(other.qubits):
-                    j += 1
                     continue
+                examined.append(keys[j])
                 if other.target == g.target:
-                    if g.inverse() == other:
-                        del gates[j], gates[i]
+                    if inverse_g == other:
+                        drop(j)
+                        drop(i)
                         acted = True
                         break
                     merged = _merged(g, other)
                     if merged is not None:
-                        del gates[j]
+                        drop(j)
                         if abs(merged.angle) <= tol:
-                            del gates[i]
+                            drop(i)
                         else:
-                            gates[i] = merged
+                            gates[i], keys[i] = merged, next(fresh)
+                            watchers[keys[i]] = []
+                            dirty.add(keys[i])
+                            retire(key)
                         acted = True
                         break
                 if not commutes(g, other):
                     break
-                j += 1
             if acted:
                 changed = True
                 i = max(i - 1, 0)
             else:
+                dirty.discard(key)
+                for seen in examined:
+                    watchers[seen].append(key)
                 i += 1
         if not changed:
             return circuit.with_gates(gates)
@@ -245,8 +288,53 @@ def _positions_on(index: dict[int, list[int]], wires, after: int) -> list[int]:
                                 for w in wires)))
 
 
+def _occurrence_index(gates: list[Gate],
+                      rules) -> dict[tuple[GateKind, bool, int], list[int]]:
+    """For each (kind, is_target, wire), the ascending positions of the gates
+    of that kind with `wire` as their target (True) or as a control (False).
+
+    Only the kinds that `rules` use after their first pattern gate are
+    indexed, since `_may_occur` looks up no other.
+    """
+    kinds = {p.kind for rule in rules for p in rule.pattern.gates[1:]}
+    index: dict[tuple[GateKind, bool, int], list[int]] = {}
+    for pos, g in enumerate(gates):
+        if g.kind in kinds:
+            index.setdefault((g.kind, True, g.target), []).append(pos)
+            for c in g.controls:
+                index.setdefault((g.kind, False, c), []).append(pos)
+    return index
+
+
+def _may_occur(occurrences, pattern, start: int, binding: dict[int, int]) -> bool:
+    """False when the gates after `start` cannot hold the rest of `pattern`.
+
+    Each pattern gate after the first is looked up after the hit of the one
+    before, as a gate of its kind with a wire that `binding` fixes in the
+    same role (its target if bound, else a bound control); a pattern gate
+    with no wire bound is passed over.  A match maps every pattern gate onto
+    such a gate at an increasing position, so a lookup that finds nothing
+    rules the match out.
+    """
+    last = start
+    for p in pattern[1:]:
+        if p.target in binding:
+            key = (p.kind, True, binding[p.target])
+        else:
+            bound = [binding[c] for c in p.controls if c in binding]
+            if not bound:
+                continue
+            key = (p.kind, False, bound[0])
+        hits = occurrences.get(key, ())
+        k = bisect.bisect_right(hits, last)
+        if k == len(hits):
+            return False
+        last = hits[k]
+    return True
+
+
 def _find_match(gates: list[Gate], rule: RewriteRule, start: int, gather: str,
-                index: dict[int, list[int]] | None = None):
+                index: dict[int, list[int]] | None = None, occurrences=None):
     """Leftmost match of `rule.pattern` with commuting gates allowed in between.
 
     Returns (positions, binding) or None.  With gather "left" the matched
@@ -264,12 +352,19 @@ def _find_match(gates: list[Gate], rule: RewriteRule, start: int, gather: str,
     `gates` when not given), on the wires already bound only.  A rule
     pattern is wire-connected, so a gate off those wires never matches, and
     it commutes with every matched gate, so it never stops a right gather.
-    `gates` must be barrier-free, as `apply_rules` makes them.
+    A binding of the first pattern gate is extended only if `_may_occur`
+    finds the rest of the pattern in `occurrences` (see `_occurrence_index`,
+    built from `gates` and `rule` when not given; it must index `rule`'s
+    kinds).  `gates` must be barrier-free, as `apply_rules` makes them.
     """
     if index is None:
         index = _wire_index(gates)
+    if occurrences is None:
+        occurrences = _occurrence_index(gates, [rule])
     pattern = rule.pattern.gates
     for binding in _match_gate(pattern[0], gates[start], {}):
+        if not _may_occur(occurrences, pattern, start, binding):
+            continue
         found = _extend(gates, index, pattern, 1, [start], binding, gather)
         if found is not None:
             return found
@@ -308,14 +403,19 @@ def _apply_binding(circ: Circuit, binding: dict[int, int]) -> list[Gate]:
 
 
 def _first_match(gates: list[Gate], rules: list[RewriteRule], start: int,
-                 index: dict[int, list[int]]):
+                 index: dict[int, list[int]], occurrences):
     """The first match at `start` as (rule, gather, positions, binding), or None.
 
-    Rules are tried in order, each with gather "left" before "right".
+    Rules are tried in order, each with gather "left" before "right"; a rule
+    whose first pattern gate has another kind than `gates[start]` is skipped.
+    `occurrences` must index the kinds of `rules`.
     """
+    kind = gates[start].kind
     for rule in rules:
+        if rule.pattern.gates[0].kind is not kind:
+            continue
         for gather in ("left", "right"):
-            found = _find_match(gates, rule, start, gather, index)
+            found = _find_match(gates, rule, start, gather, index, occurrences)
             if found is not None:
                 return (rule, gather) + found
     return None
@@ -328,12 +428,13 @@ def _rewrite_sweep(gates: list[Gate], rules: list[RewriteRule]) -> tuple[list[Ga
     spliced-in body begins.  Returns the rewritten gates and the number of
     rewrites.  Every certified rule strictly lowers the entangling count, so
     a sweep makes at most as many rewrites as `gates` has entangling gates.
+    Both indexes are rebuilt after every rewrite.
     """
-    index = _wire_index(gates)
+    index, occurrences = _wire_index(gates), _occurrence_index(gates, rules)
     rewrites = 0
     start = 0
     while start < len(gates):
-        found = _first_match(gates, rules, start, index)
+        found = _first_match(gates, rules, start, index, occurrences)
         if found is None:
             start += 1
             continue
@@ -344,7 +445,7 @@ def _rewrite_sweep(gates: list[Gate], rules: list[RewriteRule]) -> tuple[list[Ga
                   if k not in pos_set]
         body = replacement + middle if gather == "left" else middle + replacement
         gates = gates[:positions[0]] + body + gates[positions[-1] + 1:]
-        index = _wire_index(gates)
+        index, occurrences = _wire_index(gates), _occurrence_index(gates, rules)
         rewrites += 1
     return gates, rewrites
 

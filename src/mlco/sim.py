@@ -487,20 +487,19 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return spectral_norm(a @ b - b @ a)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence checking
 
 def align_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rescale u by a global phase so its largest-|.|-entry matches reference."""
-    idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)
-    ru, rr = u[idx], reference[idx]
-    if abs(ru) < 1e-14:
+    """Rescale u by the phase of its overlap with reference, tr(reference^H u).
+
+    That phase minimizes the Frobenius distance over global phases, and
+    unlike the phase of any single entry it does not depend on rounding.
+    """
+    overlap = np.vdot(reference, u)
+    if abs(overlap) < 1e-14:
         return u
-    return u * (rr / abs(rr)) * (abs(ru) / ru)
+    return u * (abs(overlap) / overlap)
 
 
 def data_block(circuit: Circuit, width: int) -> tuple[np.ndarray, float]:
@@ -590,8 +589,4 @@ def evolution_error(params, u: np.ndarray, steps: int = 1) -> float:
         raise CapacityError("trotter_error capped at 8 data qubits")
     h, _, _, _ = hamiltonian(params)
     exact = expm_hermitian(h, steps * params.tau)
-    # Align by the trace phase, which minimizes the norm over global phases.
-    tr = np.trace(exact.conj().T @ u)
-    if abs(tr) > 1e-14:
-        u = u * (abs(tr) / tr)
-    return spectral_norm(u - exact)
+    return spectral_norm(align_phase(u, exact) - exact)

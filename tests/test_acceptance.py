@@ -111,8 +111,8 @@ def test_5_physics_checks():
         h0 = sim._h_term(n - 1, 0)
         for a in terms:
             for b in terms:
-                assert sim.commutator_norm(a, b) <= 1e-10
-            assert abs(sim.commutator_norm(a, h0) - 1.0) <= 1e-10
+                assert sim.spectral_norm(a @ b - b @ a) <= 1e-10
+            assert abs(sim.spectral_norm(a @ h0 - h0 @ a) - 1.0) <= 1e-10
         want = sim.expm_hermitian(h1, params.tau) @ sim.expm_hermitian(h2, params.tau)
         u = sim.unitary_of(build_one_step(params, WingStyle.STAIR))
         assert np.abs(sim.align_phase(u, want) - want).max() <= 1e-10

@@ -10,8 +10,8 @@ from mlco import passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
     Circuit, CircuitError, GateKind, LOGS, MIGS, ROTATION_KINDS, ccrz, ccx,
-    census, commutes, conforms, crz, cs, cx, cz, h, inverse, mcrz, rccx, rz, s,
-    sdg, x,
+    census, commutes, conforms, crz, cs, cx, cy, cz, h, inverse, mcrz, rccx, rz,
+    s, sdg, t, tdg, x,
 )
 from mlco.passes import (
     RULES, ConformanceError, FixpointCapError, apply_rules,
@@ -31,6 +31,8 @@ FIXTURE_RULES = {r.name: r for r in (
                  [sdg(0), cx(1, 0), s(0), sdg(1)]),
     passes._rule("cx-cz-fuse-flip", 2, [cx(1, 0), cz(0, 1)],
                  [sdg(0), cx(1, 0), s(0), s(1)]),
+    # No registered rule has a CY after its first gate.
+    passes._rule("cx-cy-fuse", 2, [cx(0, 1), cy(0, 1)], [sdg(0), cz(0, 1)]),
 )}
 CX_LADDER = FIXTURE_RULES["cx-ladder"]
 
@@ -195,9 +197,14 @@ def _ref_extend(gates, pattern, p_idx, positions, binding, gather):
 
 
 def _ref_cancel_adjacent(circuit):
+    """The full-scan fixpoint and the sweeps it takes, the confirming one
+    included; every acting sweep drops a gate, so it needs no cap."""
     tol = passes.ANGLE_TOLERANCE
     gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
-    for _ in range(passes.MAX_SWEEPS):
+    sweeps = 0
+    changed = True
+    while changed:
+        sweeps += 1
         changed = False
         gates = [g for g in gates
                  if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
@@ -229,9 +236,7 @@ def _ref_cancel_adjacent(circuit):
                 i = max(i - 1, 0)
             else:
                 i += 1
-        if not changed:
-            break
-    return circuit.with_gates(gates)
+    return circuit.with_gates(gates), sweeps
 
 
 def _random_gates(rng, wires, length):
@@ -259,12 +264,14 @@ def test_wire_indexed_find_match_equals_full_scan(seed):
     for _ in range(100):
         gates = _random_gates(rng, rng.randint(3, 5), rng.randint(6, 24))
         index = passes._wire_index(gates)
+        occurrences = passes._occurrence_index(gates, ALL_RULES.values())
         for rule in ALL_RULES.values():
             for gather in ("left", "right"):
                 for start in range(len(gates)):
                     want = _ref_find_match(gates, rule, start, gather)
                     assert passes._find_match(gates, rule, start, gather) == want
-                    assert passes._find_match(gates, rule, start, gather, index) == want
+                    assert passes._find_match(gates, rule, start, gather,
+                                              index, occurrences) == want
                     fired += want is not None
     assert fired > 80  # the circuits exercise matches, not only rejections
 
@@ -275,10 +282,33 @@ def test_wire_skipping_cancel_adjacent_equals_full_scan(seed):
     acted = 0
     for _ in range(60):
         c = Circuit(5, tuple(_random_gates(rng, rng.randint(3, 5), rng.randint(4, 30))))
-        want = _ref_cancel_adjacent(c)
+        want, _ = _ref_cancel_adjacent(c)
         assert _exact(cancel_adjacent(c).gates) == _exact(want.gates)
         acted += len(want.gates) < len(c.gates)
     assert acted > 10
+
+
+def test_occurrence_prefilter_indexes_the_kinds_of_the_rules_it_runs():
+    # CY occurs after the first gate of cx-cy-fuse only: an occurrence index
+    # keyed from the registered rules would never find it.
+    rule = FIXTURE_RULES["cx-cy-fuse"]
+    rng = random.Random(9)
+    fired = 0
+    for _ in range(40):
+        gates = [rng.choice([cx(0, 1), cy(0, 1), cy(1, 0), rz(0, 0.3), rz(2, 0.3),
+                             x(1), h(2), cx(2, 1)])
+                 for _ in range(rng.randint(2, 12))]
+        occurrences = passes._occurrence_index(gates, [rule])
+        for gather in ("left", "right"):
+            for start in range(len(gates)):
+                want = _ref_find_match(gates, rule, start, gather)
+                assert passes._find_match(gates, rule, start, gather) == want
+                assert passes._find_match(gates, rule, start, gather,
+                                          occurrences=occurrences) == want
+                fired += want is not None
+        c = Circuit(3, tuple(gates))
+        assert _exact(apply_rules(c, [rule]).gates) == _exact(_ref_apply_rules(c, [rule]).gates)
+    assert fired > 20
 
 
 def test_certify_refuses_rule_that_keeps_entangling_count():
@@ -498,36 +528,60 @@ def test_pass_lists_call_the_module_passes(monkeypatch):
 # ---------------------------------------------------------------------------
 # Rewrite sweeps against the one-rewrite-per-iteration engine they replaced
 
+def _ref_rewrite_at(gates, rules, start):
+    """The gates after the first full-scan match at `start`, or None."""
+    for rule in rules:
+        for gather in ("left", "right"):
+            found = _ref_find_match(gates, rule, start, gather)
+            if found is None:
+                continue
+            positions, binding = found
+            replacement = passes._apply_binding(rule.replacement, binding)
+            pos_set = set(positions)
+            middle = [gates[k] for k in range(positions[0], positions[-1] + 1)
+                      if k not in pos_set]
+            body = replacement + middle if gather == "left" else middle + replacement
+            return gates[:positions[0]] + body + gates[positions[-1] + 1:]
+    return None
+
+
 def _ref_rewrite_once(gates, rules):
-    index = passes._wire_index(gates)
     for i in range(len(gates)):
-        for rule in rules:
-            for gather in ("left", "right"):
-                found = passes._find_match(gates, rule, i, gather, index)
-                if found is None:
-                    continue
-                positions, binding = found
-                replacement = passes._apply_binding(rule.replacement, binding)
-                pos_set = set(positions)
-                middle = [gates[k] for k in range(positions[0], positions[-1] + 1)
-                          if k not in pos_set]
-                if gather == "left":
-                    body = replacement + middle
-                else:
-                    body = middle + replacement
-                return gates[:positions[0]] + body + gates[positions[-1] + 1:]
+        rewritten = _ref_rewrite_at(gates, rules, i)
+        if rewritten is not None:
+            return rewritten
     return None
 
 
 def _ref_apply_rules(circuit, rules):
     # One rewrite per iteration, restarting from gate 0 after each.
-    circ = passes.cancel_adjacent(circuit)
+    circ, _ = _ref_cancel_adjacent(circuit)
     for _ in range(passes.MAX_SWEEPS):
         rewritten = _ref_rewrite_once(list(circ.gates), rules)
         if rewritten is None:
             return circ
-        circ = passes.cancel_adjacent(circ.with_gates(rewritten))
+        circ, _ = _ref_cancel_adjacent(circ.with_gates(rewritten))
     raise FixpointCapError("reference apply_rules: no fixpoint")
+
+
+def _ref_sweep_rules(circuit, rules):
+    """apply_rules by full-scan sweeps, and the most sweeps that its rewrite
+    loop or any of its cancellations takes, the confirming sweep included."""
+    circ, most = _ref_cancel_adjacent(circuit)
+    sweeps = 0
+    while True:
+        sweeps += 1
+        gates, start, rewrites = list(circ.gates), 0, 0
+        while start < len(gates):
+            rewritten = _ref_rewrite_at(gates, rules, start)
+            if rewritten is None:
+                start += 1
+            else:
+                gates, rewrites = rewritten, rewrites + 1
+        if not rewrites:
+            return circ, max(most, sweeps)
+        circ, cancel_sweeps = _ref_cancel_adjacent(circ.with_gates(gates))
+        most = max(most, cancel_sweeps)
 
 
 def _entangling(circ):
@@ -562,6 +616,7 @@ def test_rewrite_sweeps_keep_every_pipeline_stage(style, monkeypatch):
             got = stages(n, k)
             with monkeypatch.context() as m:
                 m.setattr(passes, "apply_rules", _ref_apply_rules)
+                m.setattr(passes, "cancel_adjacent", lambda c: _ref_cancel_adjacent(c)[0])
                 assert stages(n, k) == got, (n, k)
 
 
@@ -578,6 +633,47 @@ def test_apply_rules_raises_when_cap_cuts_rewriting_short(monkeypatch):
     monkeypatch.setattr(passes, "MAX_SWEEPS", 2)
     got = apply_rules(ladders, [CX_LADDER])
     assert len(got.gates) == 4
+
+
+def _merge_chain_gates(rng, wires, length):
+    """Random gates with S and T, and chains of CRZ that merge across them."""
+    gates = []
+    while len(gates) < length:
+        q = rng.sample(range(wires), 3)
+        if rng.random() < 0.15:
+            gates += [crz(q[0], q[1], rng.choice([0.25, -0.25, 0.5]))
+                      for _ in range(rng.randint(2, 4))]
+            continue
+        gates.append(rng.choice([
+            lambda: cx(q[0], q[1]), lambda: cx(q[0], q[1]), lambda: cz(q[0], q[1]),
+            lambda: x(q[0]), lambda: h(q[0]), lambda: s(q[0]), lambda: sdg(q[0]),
+            lambda: t(q[0]), lambda: tdg(q[0]), lambda: rz(q[0], 0.25),
+            lambda: ccx(q[0], q[1], q[2]),
+        ])())
+    return gates[:length]
+
+
+def test_fixpoint_caps_fall_where_the_references_need_one_more_sweep(monkeypatch):
+    rules = list(ALL_RULES.values())
+    engines = {
+        "cancel_adjacent": (cancel_adjacent, _ref_cancel_adjacent),
+        "apply_rules": (lambda c: apply_rules(c, rules),
+                        lambda c: _ref_sweep_rules(c, rules)),
+    }
+    rng = random.Random(31)
+    most = dict.fromkeys(engines, 0)
+    for _ in range(40):
+        wires = rng.randint(3, 4)
+        c = Circuit(wires, tuple(_merge_chain_gates(rng, wires, rng.randint(20, 80))))
+        for name, (run, reference) in engines.items():
+            want, sweeps = reference(c)
+            monkeypatch.setattr(passes, "MAX_SWEEPS", sweeps)
+            assert _exact(run(c).gates) == _exact(want.gates), name
+            monkeypatch.setattr(passes, "MAX_SWEEPS", sweeps - 1)
+            with pytest.raises(FixpointCapError):
+                run(c)
+            most[name] = max(most[name], sweeps)
+    assert min(most.values()) >= 3, most
 
 
 def test_cancel_adjacent_raises_when_cap_cuts_cancelling_short(monkeypatch):
