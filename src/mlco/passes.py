@@ -9,9 +9,11 @@ pass is deterministic.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,157 +242,177 @@ def rules_named(names) -> list[RewriteRule]:
 
 
 def _match_gate(pattern_gate: Gate, gate: Gate, binding: dict[int, int]) -> list[dict[int, int]]:
-    """Extensions of `binding` mapping the pattern gate onto `gate`."""
-    if pattern_gate.kind is not gate.kind or pattern_gate.angle != gate.angle:
+    """Extensions of `binding` mapping the pattern gate onto `gate`.
+
+    The controls of `gate` go onto the pattern's controls in every order,
+    as `itertools.permutations(gate.controls)` lists them, and target onto
+    target.  An extension keeps every wire `binding` fixes and maps no two
+    pattern wires onto one wire.
+    """
+    if (pattern_gate.kind is not gate.kind or pattern_gate.angle != gate.angle
+            or len(pattern_gate.controls) != len(gate.controls)):
         return []
-    if len(pattern_gate.controls) != len(gate.controls):
-        return []
-    results: list[dict[int, int]] = []
-
-    def assign(b: dict[int, int], pw: int, cw: int) -> dict[int, int] | None:
-        if pw in b:
-            return b if b[pw] == cw else None
-        if cw in b.values():
-            return None
-        out = dict(b)
-        out[pw] = cw
-        return out
-
-    def walk(b: dict[int, int], remaining_p: list[int], remaining_c: list[int]):
-        if not remaining_p:
-            done = assign(b, pattern_gate.target, gate.target) \
-                if pattern_gate.target is not None else b
-            if done is not None:
-                results.append(done)
-            return
-        pw = remaining_p[0]
-        for k, cw in enumerate(remaining_c):
-            nb = assign(b, pw, cw)
-            if nb is not None:
-                walk(nb, remaining_p[1:], remaining_c[:k] + remaining_c[k + 1:])
-
-    walk(binding, list(pattern_gate.controls), list(gate.controls))
+    results = []
+    targets = gate.qubits[len(gate.controls):]
+    for controls in itertools.permutations(gate.controls):
+        b = binding
+        for pw, cw in zip(pattern_gate.qubits, controls + targets):
+            if pw in b:
+                if b[pw] != cw:
+                    break
+            elif cw in b.values():
+                break
+            else:
+                b = {**b, pw: cw}
+        else:
+            results.append(b)
     return results
 
 
-def _wire_index(gates: list[Gate]) -> dict[int, list[int]]:
-    """For each wire, the ascending positions of the gates touching it."""
-    index: dict[int, list[int]] = {}
-    for pos, g in enumerate(gates):
-        for q in g.qubits:
-            index.setdefault(q, []).append(pos)
-    return index
-
-
-def _positions_on(index: dict[int, list[int]], wires, after: int) -> list[int]:
-    """Ascending positions after `after` of the gates touching any of `wires`."""
-    return sorted(set().union(*(index[w][bisect.bisect_right(index[w], after):]
-                                for w in wires)))
-
-
-def _occurrence_index(gates: list[Gate],
-                      rules) -> dict[tuple[GateKind, bool, int], list[int]]:
-    """For each (kind, is_target, wire), the ascending positions of the gates
-    of that kind with `wire` as their target (True) or as a control (False).
-
-    Only the kinds that `rules` use after their first pattern gate are
-    indexed, since `_may_occur` looks up no other.
-    """
-    kinds = {p.kind for rule in rules for p in rule.pattern.gates[1:]}
-    index: dict[tuple[GateKind, bool, int], list[int]] = {}
-    for pos, g in enumerate(gates):
-        if g.kind in kinds:
-            index.setdefault((g.kind, True, g.target), []).append(pos)
-            for c in g.controls:
-                index.setdefault((g.kind, False, c), []).append(pos)
-    return index
-
-
-def _may_occur(occurrences, pattern, start: int, binding: dict[int, int]) -> bool:
-    """False when the gates after `start` cannot hold the rest of `pattern`.
-
-    Each pattern gate after the first is looked up after the hit of the one
-    before, as a gate of its kind with a wire that `binding` fixes in the
-    same role (its target if bound, else a bound control); a pattern gate
-    with no wire bound is passed over.  A match maps every pattern gate onto
-    such a gate at an increasing position, so a lookup that finds nothing
-    rules the match out.
-    """
-    last = start
-    for p in pattern[1:]:
-        if p.target in binding:
-            key = (p.kind, True, binding[p.target])
-        else:
-            bound = [binding[c] for c in p.controls if c in binding]
-            if not bound:
-                continue
-            key = (p.kind, False, bound[0])
-        hits = occurrences.get(key, ())
-        k = bisect.bisect_right(hits, last)
-        if k == len(hits):
-            return False
-        last = hits[k]
-    return True
-
-
-def _find_match(gates: list[Gate], rule: RewriteRule, start: int, gather: str,
-                index: dict[int, list[int]] | None = None, occurrences=None):
-    """Leftmost match of `rule.pattern` with commuting gates allowed in between.
-
-    Returns (positions, binding) or None.  With gather "left" the matched
-    gates are pulled together at the first position, so every skipped gate
-    must commute with all matched gates after it; with gather "right" they
-    collect at the last position and skipped gates must commute with all
-    matched gates before them.
-
-    The skipped gates for a candidate at position j are the unmatched gates
-    strictly between the first match and j.  The left-gather commutation
-    check against them runs only for a candidate that matches the next
-    pattern gate, since no other gate can extend the match.
-
-    Candidates are visited through `index` (see `_wire_index`, built from
-    `gates` when not given), on the wires already bound only.  A rule
-    pattern is wire-connected, so a gate off those wires never matches, and
-    it commutes with every matched gate, so it never stops a right gather.
-    A binding of the first pattern gate is extended only if `_may_occur`
-    finds the rest of the pattern in `occurrences` (see `_occurrence_index`,
-    built from `gates` and `rule` when not given; it must index `rule`'s
-    kinds).  `gates` must be barrier-free, as `apply_rules` makes them.
-    """
-    if index is None:
-        index = _wire_index(gates)
-    if occurrences is None:
-        occurrences = _occurrence_index(gates, [rule])
-    pattern = rule.pattern.gates
-    for binding in _match_gate(pattern[0], gates[start], {}):
-        if not _may_occur(occurrences, pattern, start, binding):
-            continue
-        found = _extend(gates, index, pattern, 1, [start], binding, gather)
-        if found is not None:
-            return found
+def _occurrence_key(p: Gate, binding: dict[int, int]):
+    """The occurrence-index key under which every gate matching `p` under
+    `binding` is listed: its kind with the bound target, else with the first
+    bound control; None when `binding` fixes no wire of `p`."""
+    if p.target in binding:
+        return p.kind, True, binding[p.target]
+    for c in p.controls:
+        if c in binding:
+            return p.kind, False, binding[c]
     return None
 
 
-def _extend(gates, index, pattern, p_idx, positions, binding, gather):
-    if p_idx == len(pattern):
-        return positions, binding
-    matched = [gates[p] for p in positions]
-    for j in _positions_on(index, binding.values(), positions[-1]):
-        g = gates[j]
-        candidates = _match_gate(pattern[p_idx], g, binding)
-        if candidates and gather == "left":
-            # Only skipped gates sharing a wire can fail to commute.
-            wires = set(g.qubits)
-            skipped = (gates[k] for k in range(positions[0] + 1, j) if k not in positions)
-            if not all(commutes(g, sk) for sk in skipped if not wires.isdisjoint(sk.qubits)):
-                candidates = []
-        for nb in candidates:
-            found = _extend(gates, index, pattern, p_idx + 1, positions + [j], nb, gather)
+class _Unswept:
+    """The gates a rewrite sweep has not passed yet, reversed: the next gate is last.
+
+    A gate is known by its key, its place in `gates`.  `wires` maps each
+    wire to the ascending keys of the gates on it; `occurrences` maps
+    (kind, is_target, wire) to the ascending keys of the gates of that kind
+    with `wire` as their target (True) or as a control (False), for the
+    kinds that `rules` use after their first pattern gate, the only ones a
+    lookup asks for.  A lower key is a later gate, and every lookup looks
+    after the next gate, so moving the sweep on pops that gate's entries, a
+    rewrite pops the keys of the span it replaces and pushes its body, and
+    no other entry ever changes.  The gates must be barrier-free, as
+    `apply_rules` makes them: the matcher looks only at the wires a match
+    binds.
+    """
+
+    def __init__(self, gates, rules):
+        self.kinds = {p.kind for rule in rules for p in rule.pattern.gates[1:]}
+        self.gates: list[Gate] = []
+        self.wires: dict[int, list[int]] = defaultdict(list)
+        self.occurrences: dict[tuple[GateKind, bool, int], list[int]] = defaultdict(list)
+        for g in reversed(gates):
+            self.push(g)
+
+    def push(self, g: Gate) -> None:
+        """Make `g` the next gate."""
+        key = len(self.gates)
+        self.gates.append(g)
+        for q in g.qubits:
+            self.wires[q].append(key)
+        if g.kind in self.kinds:
+            self.occurrences[g.kind, True, g.target].append(key)
+            for c in g.controls:
+                self.occurrences[g.kind, False, c].append(key)
+
+    def pop(self) -> Gate:
+        """Remove the next gate and return it."""
+        g = self.gates.pop()
+        for q in g.qubits:
+            self.wires[q].pop()
+        if g.kind in self.kinds:
+            self.occurrences[g.kind, True, g.target].pop()
+            for c in g.controls:
+                self.occurrences[g.kind, False, c].pop()
+        return g
+
+    def bindings(self, pattern) -> list[dict[int, int]]:
+        """The bindings of `pattern[0]` to the next gate that the later gates may extend.
+
+        Each pattern gate after the first is looked up after the hit of the
+        one before, as a gate of its kind with a wire that the binding fixes
+        in the same role (see `_occurrence_key`); a pattern gate with no wire
+        bound is passed over.  A match maps every pattern gate onto such a
+        gate, each later than the one before, so a lookup that finds nothing
+        rules the binding out.
+        """
+        found = []
+        for binding in _match_gate(pattern[0], self.gates[-1], {}):
+            last = len(self.gates) - 1
+            for p in pattern[1:]:
+                key = _occurrence_key(p, binding)
+                if key is None:
+                    continue
+                hits = self.occurrences.get(key, ())
+                k = bisect.bisect_left(hits, last)
+                if not k:
+                    break
+                last = hits[k - 1]
+            else:
+                found.append(binding)
+        return found
+
+    def find(self, pattern, bindings, gather: str):
+        """The first match of `pattern` starting at the next gate, from one of `bindings`.
+
+        Returns (keys, binding), the keys in circuit order, or None.  With
+        gather "left" the matched gates are pulled together at the first
+        one, so every skipped gate must commute with all matched gates after
+        it; with gather "right" they collect at the last one and skipped
+        gates must commute with all matched gates before them.  The skipped
+        gates for a candidate are the unmatched gates between the first
+        match and it.
+        """
+        first = len(self.gates) - 1
+        for binding in bindings:
+            found = self._extend(pattern, 1, [first], binding, gather)
             if found is not None:
                 return found
-        if gather == "right" and not all(commutes(g, m) for m in matched):
+        return None
+
+    def _extend(self, pattern, p_idx, keys, binding, gather):
+        if p_idx == len(pattern):
+            return keys, binding
+        p, gates, last = pattern[p_idx], self.gates, keys[-1]
+        if gather == "left":
+            # Only a gate listed under `p`'s occurrence key can match it, and
+            # only skipped gates on its own wires can fail to commute with it.
+            # A rule pattern is wire-connected, so `binding` fixes a wire of `p`.
+            hits = self.occurrences.get(_occurrence_key(p, binding), ())
+            for j in reversed(hits[:bisect.bisect_left(hits, last)]):
+                g = gates[j]
+                candidates = _match_gate(p, g, binding)
+                if candidates and not all(
+                        commutes(g, gates[k]) for q in g.qubits
+                        for k in self.wires[q][bisect.bisect_right(self.wires[q], j):]
+                        if k not in keys):
+                    continue
+                for nb in candidates:
+                    found = self._extend(pattern, p_idx + 1, keys + [j], nb, gather)
+                    if found is not None:
+                        return found
             return None
-    return None
+        # A gate off the bound wires cannot match `p` and commutes with every
+        # matched gate, so the walk visits the bound wires only, in circuit
+        # order, and stops at the first gate there that does not commute.
+        matched = [gates[k] for k in keys]
+        runs = []
+        for w in binding.values():
+            # The keys on `w` below `last`, the earliest gate in the circuit first.
+            on = self.wires[w]
+            below = bisect.bisect_left(on, last)
+            runs.append(itertools.islice(reversed(on), len(on) - below, None))
+        # A gate on two bound wires comes twice in a row.
+        for j, _ in itertools.groupby(heapq.merge(*runs, reverse=True)):
+            g = gates[j]
+            for nb in _match_gate(p, g, binding):
+                found = self._extend(pattern, p_idx + 1, keys + [j], nb, gather)
+                if found is not None:
+                    return found
+            if not all(commutes(g, m) for m in matched):
+                return None
+        return None
 
 
 def _apply_binding(circ: Circuit, binding: dict[int, int]) -> list[Gate]:
@@ -402,20 +424,22 @@ def _apply_binding(circ: Circuit, binding: dict[int, int]) -> list[Gate]:
     return out
 
 
-def _first_match(gates: list[Gate], rules: list[RewriteRule], start: int,
-                 index: dict[int, list[int]], occurrences):
-    """The first match at `start` as (rule, gather, positions, binding), or None.
+def _first_match(unswept: _Unswept, rules: list[RewriteRule]):
+    """The first match at the next gate as (rule, gather, keys, binding), or None.
 
     Rules are tried in order, each with gather "left" before "right"; a rule
-    whose first pattern gate has another kind than `gates[start]` is skipped.
-    `occurrences` must index the kinds of `rules`.
+    whose first pattern gate has another kind than the next gate is skipped.
+    The first-gate bindings of a rule are found and prefiltered once, for
+    both gathers.  `unswept` must index the kinds of `rules`.
     """
-    kind = gates[start].kind
+    kind = unswept.gates[-1].kind
     for rule in rules:
-        if rule.pattern.gates[0].kind is not kind:
+        pattern = rule.pattern.gates
+        if pattern[0].kind is not kind:
             continue
+        bindings = unswept.bindings(pattern)
         for gather in ("left", "right"):
-            found = _find_match(gates, rule, start, gather, index, occurrences)
+            found = unswept.find(pattern, bindings, gather)
             if found is not None:
                 return (rule, gather) + found
     return None
@@ -428,26 +452,28 @@ def _rewrite_sweep(gates: list[Gate], rules: list[RewriteRule]) -> tuple[list[Ga
     spliced-in body begins.  Returns the rewritten gates and the number of
     rewrites.  Every certified rule strictly lowers the entangling count, so
     a sweep makes at most as many rewrites as `gates` has entangling gates.
-    Both indexes are rebuilt after every rewrite.
+    The gates not yet passed are indexed once (see `_Unswept`); a rewrite
+    starts at the next gate, so it only pops and pushes index entries.
     """
-    index, occurrences = _wire_index(gates), _occurrence_index(gates, rules)
+    unswept = _Unswept(gates, rules)
+    swept: list[Gate] = []
     rewrites = 0
-    start = 0
-    while start < len(gates):
-        found = _first_match(gates, rules, start, index, occurrences)
+    while unswept.gates:
+        found = _first_match(unswept, rules)
         if found is None:
-            start += 1
+            swept.append(unswept.pop())
             continue
-        rule, gather, positions, binding = found
+        rule, gather, keys, binding = found
         replacement = _apply_binding(rule.replacement, binding)
-        pos_set = set(positions)
-        middle = [gates[k] for k in range(positions[0], positions[-1] + 1)
-                  if k not in pos_set]
+        matched = set(keys)
+        # The span from the next gate to the last matched one, in circuit order.
+        span = [(k, unswept.pop()) for k in range(keys[0], keys[-1] - 1, -1)]
+        middle = [g for k, g in span if k not in matched]
         body = replacement + middle if gather == "left" else middle + replacement
-        gates = gates[:positions[0]] + body + gates[positions[-1] + 1:]
-        index, occurrences = _wire_index(gates), _occurrence_index(gates, rules)
+        for g in reversed(body):
+            unswept.push(g)
         rewrites += 1
-    return gates, rewrites
+    return swept, rewrites
 
 
 def apply_rules(circuit: Circuit, rules: list[RewriteRule]) -> Circuit:

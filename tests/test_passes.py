@@ -1,5 +1,6 @@
 """Rewrite rules, lowerings, and pipeline stages."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -122,6 +123,30 @@ def test_rules_never_add_entangling_gates(name):
     assert weight(rule.replacement) <= weight(rule.pattern)
 
 
+def test_match_gate_tries_every_control_order():
+    # Against every assignment of the gate's controls to the pattern's, in
+    # the order of the gate's controls, kept when it agrees with the binding
+    # and maps no two pattern wires onto one wire.
+    rng = random.Random(5)
+    makers = [lambda q: x(q[0]), lambda q: cx(q[0], q[1]), lambda q: ccx(q[0], q[1], q[2]),
+              lambda q: rccx(q[0], q[1], q[2]), lambda q: mcrz(tuple(q[:3]), q[3], 0.5)]
+    matched = 0
+    for _ in range(400):
+        make = rng.choice(makers)
+        pattern_gate, gate = make(rng.sample(range(4), 4)), make(rng.sample(range(6), 4))
+        binding = dict(zip(rng.sample(range(4), rng.randint(0, 3)), rng.sample(range(6), 3)))
+        want = []
+        for controls in itertools.permutations(gate.controls):
+            full = dict(binding)
+            full.update(zip(pattern_gate.qubits, controls + (gate.target,)))
+            agrees = all(full[pw] == cw for pw, cw in binding.items())
+            if agrees and len(set(full.values())) == len(full):
+                want.append(full)
+        assert passes._match_gate(pattern_gate, gate, binding) == want
+        matched += bool(want)
+    assert matched > 100
+
+
 def test_rule_applies_under_wire_renaming():
     # cx-ladder on renamed wires: [cx(2,0), cx(0,3), cx(2,0)] -> 2 gates.
     c = Circuit(4, (cx(2, 0), cx(0, 3), cx(2, 0)))
@@ -156,15 +181,42 @@ def test_rule_blocked_by_noncommuting_interloper():
 def test_find_match_checks_skipped_gates_per_gather(gates, left, right):
     rule = CX_LADDER
     for gather, want in (("left", left), ("right", right)):
-        found = passes._find_match(list(gates), rule, 0, gather)
+        found = _find_match(list(gates), rule, 0, gather)
         positions = found[0] if found is not None else None
         assert positions == want, gather
     c = Circuit(3, gates)
     assert _equiv(c, apply_rules(c, [CX_LADDER]))
 
 
+def test_find_match_tries_every_binding_the_prefilter_keeps():
+    # Both bindings of the first CCX find an X and then a CCX later.  The
+    # first, with pattern control 1 on wire 1, fails: the second CCX blocks
+    # its X.  The second binding matches.
+    gates = [ccx(0, 1, 2), x(0), ccx(0, 1, 2), x(1), ccx(0, 1, 2)]
+    rule = RULES["ccx-x-ccx"]
+    unswept = passes._Unswept(gates, [rule])
+    assert [b[1] for b in unswept.bindings(rule.pattern.gates)] == [1, 0]
+    want = ([0, 1, 2], {0: 1, 1: 0, 2: 2})
+    assert _find_match(gates, rule, 0, "left") == _ref_find_match(gates, rule, 0, "left") == want
+    assert passes._rewrite_sweep(gates, [rule]) == _ref_sweep_once(gates, [rule])
+
+
 # ---------------------------------------------------------------------------
-# Wire-indexed scans against the full scans they replaced
+# Indexed scans against the full scans they replaced
+
+def _find_match(gates, rule, start, gather, unswept=None):
+    """The sweep matcher's match of `rule` with `gather` at `start` of `gates`,
+    as (positions in `gates`, binding) or None.  `unswept` must hold
+    `gates[start:]`; by default they are indexed for `rule` alone."""
+    if unswept is None:
+        unswept = passes._Unswept(gates[start:], [rule])
+    pattern = rule.pattern.gates
+    found = unswept.find(pattern, unswept.bindings(pattern), gather)
+    if found is None:
+        return None
+    keys, binding = found
+    return [start + keys[0] - k for k in keys], binding
+
 
 def _ref_find_match(gates, rule, start, gather):
     pattern = rule.pattern.gates
@@ -263,16 +315,16 @@ def test_wire_indexed_find_match_equals_full_scan(seed):
     fired = 0
     for _ in range(100):
         gates = _random_gates(rng, rng.randint(3, 5), rng.randint(6, 24))
-        index = passes._wire_index(gates)
-        occurrences = passes._occurrence_index(gates, ALL_RULES.values())
-        for rule in ALL_RULES.values():
-            for gather in ("left", "right"):
-                for start in range(len(gates)):
+        # One index for every rule, moved on one gate at a time as a sweep does.
+        unswept = passes._Unswept(gates, ALL_RULES.values())
+        for start in range(len(gates)):
+            for rule in ALL_RULES.values():
+                for gather in ("left", "right"):
                     want = _ref_find_match(gates, rule, start, gather)
-                    assert passes._find_match(gates, rule, start, gather) == want
-                    assert passes._find_match(gates, rule, start, gather,
-                                              index, occurrences) == want
+                    assert _find_match(gates, rule, start, gather) == want
+                    assert _find_match(gates, rule, start, gather, unswept) == want
                     fired += want is not None
+            unswept.pop()
     assert fired > 80  # the circuits exercise matches, not only rejections
 
 
@@ -298,14 +350,14 @@ def test_occurrence_prefilter_indexes_the_kinds_of_the_rules_it_runs():
         gates = [rng.choice([cx(0, 1), cy(0, 1), cy(1, 0), rz(0, 0.3), rz(2, 0.3),
                              x(1), h(2), cx(2, 1)])
                  for _ in range(rng.randint(2, 12))]
-        occurrences = passes._occurrence_index(gates, [rule])
-        for gather in ("left", "right"):
-            for start in range(len(gates)):
+        unswept = passes._Unswept(gates, [rule])
+        for start in range(len(gates)):
+            for gather in ("left", "right"):
                 want = _ref_find_match(gates, rule, start, gather)
-                assert passes._find_match(gates, rule, start, gather) == want
-                assert passes._find_match(gates, rule, start, gather,
-                                          occurrences=occurrences) == want
+                assert _find_match(gates, rule, start, gather) == want
+                assert _find_match(gates, rule, start, gather, unswept) == want
                 fired += want is not None
+            unswept.pop()
         c = Circuit(3, tuple(gates))
         assert _exact(apply_rules(c, [rule]).gates) == _exact(_ref_apply_rules(c, [rule]).gates)
     assert fired > 20
@@ -564,6 +616,18 @@ def _ref_apply_rules(circuit, rules):
     raise FixpointCapError("reference apply_rules: no fixpoint")
 
 
+def _ref_sweep_once(gates, rules):
+    """One full-scan rewrite sweep: the rewritten gates and the rewrite count."""
+    start, rewrites = 0, 0
+    while start < len(gates):
+        rewritten = _ref_rewrite_at(gates, rules, start)
+        if rewritten is None:
+            start += 1
+        else:
+            gates, rewrites = rewritten, rewrites + 1
+    return gates, rewrites
+
+
 def _ref_sweep_rules(circuit, rules):
     """apply_rules by full-scan sweeps, and the most sweeps that its rewrite
     loop or any of its cancellations takes, the confirming sweep included."""
@@ -571,13 +635,7 @@ def _ref_sweep_rules(circuit, rules):
     sweeps = 0
     while True:
         sweeps += 1
-        gates, start, rewrites = list(circ.gates), 0, 0
-        while start < len(gates):
-            rewritten = _ref_rewrite_at(gates, rules, start)
-            if rewritten is None:
-                start += 1
-            else:
-                gates, rewrites = rewritten, rewrites + 1
+        gates, rewrites = _ref_sweep_once(list(circ.gates), rules)
         if not rewrites:
             return circ, max(most, sweeps)
         circ, cancel_sweeps = _ref_cancel_adjacent(circ.with_gates(gates))
@@ -603,6 +661,54 @@ def test_rewrite_sweeps_match_one_rewrite_engine(seed):
         assert np.abs(sim.align_phase(sim.unitary_of(got), u_want) - u_want).max() < 1e-10
         rewritten += _entangling(want) < _entangling(passes.cancel_adjacent(c))
     assert rewritten > 20  # the circuits exercise rewrites, not only rejections
+
+
+def _planted_gates(rng, wires, rules):
+    """Random gates on `wires` wires around one rule pattern on random wires,
+    with random gates between its pattern gates."""
+    rule = rng.choice(rules)
+    pattern = rule.pattern
+    wire_of = dict(zip(range(pattern.num_qubits), rng.sample(range(wires), pattern.num_qubits)))
+    gates = _random_gates(rng, wires, rng.randint(0, 8))
+    for g in passes._apply_binding(pattern, wire_of):
+        gates += _random_gates(rng, wires, rng.choice([0, 0, 1, 2])) + [g]
+    return gates + _random_gates(rng, wires, rng.randint(0, 8))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rewrite_sweep_equals_full_scan_sweep(seed):
+    # The gates before a match, on its wires and off them, are the ones an
+    # index that survives a splice could misplace; the fusion rules grow the
+    # list by two gates per rewrite.
+    rng = random.Random(300 + seed)
+    rules = list(ALL_RULES.values())
+    fired = Counter()
+    for _ in range(120):
+        wires = rng.randint(3, 6)
+        gates = _planted_gates(rng, wires, rules)
+        want, want_rewrites = _ref_sweep_once(list(gates), rules)
+        got, rewrites = passes._rewrite_sweep(list(gates), rules)
+        assert (_exact(got), rewrites) == (_exact(want), want_rewrites)
+        fired[min(rewrites, 2)] += 1
+        fired["grew"] += len(got) > len(gates)
+    assert fired[2] > 10 and fired["grew"] > 10, fired
+
+
+def test_rewrite_sweep_indexes_its_gates_once(monkeypatch):
+    built = []
+
+    class Spy(passes._Unswept):
+        def __init__(self, gates, rules):
+            built.append(len(gates))
+            super().__init__(gates, rules)
+
+    monkeypatch.setattr(passes, "_Unswept", Spy)
+    # Two ladders and two CZ/CX fusions, which grow the list: four rewrites.
+    ladders = [cx(0, 1), cx(1, 2), cx(0, 1), cz(3, 4), cx(3, 4), cz(0, 2), cx(0, 2),
+               cx(3, 4), cx(4, 5), cx(3, 4)]
+    gates, rewrites = passes._rewrite_sweep(ladders, list(ALL_RULES.values()))
+    assert rewrites == 4
+    assert built == [len(ladders)]
 
 
 @pytest.mark.parametrize("style", ["stair", "spray"])
