@@ -15,7 +15,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 
 
 class GateKind(enum.Enum):
@@ -96,7 +96,6 @@ class UnsupportedGateError(ParseError):
     """Unknown or unexportable gate kind."""
 
 
-@dataclass(frozen=True)
 class Gate:
     """One instruction: kind, controls, target, optional angle.
 
@@ -104,48 +103,78 @@ class Gate:
     depends on the control order, so gates that differ only in control
     order are equal and hash alike.  Barriers carry their spanned qubits in
     ``controls`` and have no target.
+
+    A gate is immutable: assigning or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`.  Equality and the hash are those of
+    ``(kind, controls, target, angle)``.  Construction computes the hash
+    and ``qubits``, every touched wire with the controls first, once;
+    `inverse` builds its gate on first use and keeps it.
     """
 
-    kind: GateKind
-    controls: tuple[int, ...] = ()
-    target: int | None = None
-    angle: float | None = None
+    __slots__ = ("kind", "controls", "target", "angle", "qubits", "_hash", "_inverse")
 
-    def __post_init__(self):
-        controls = tuple(self.controls)
-        object.__setattr__(self, "controls", controls if self.kind is GateKind.RCCX
-                           else tuple(sorted(controls)))
-        if self.kind is GateKind.BARRIER:
-            if self.target is not None or self.angle is not None:
+    def __init__(self, kind: GateKind, controls: tuple[int, ...] = (),
+                 target: int | None = None, angle: float | None = None):
+        controls = tuple(controls)
+        if len(controls) > 1 and kind is not GateKind.RCCX:
+            controls = tuple(sorted(controls))
+        if kind is GateKind.BARRIER:
+            if target is not None or angle is not None:
                 raise CircuitError("barrier takes spanned qubits only")
-            if len(set(self.controls)) != len(self.controls):
+            if len(set(controls)) != len(controls):
                 raise CircuitError("barrier qubits must be distinct")
-            return
-        if self.target is None:
-            raise CircuitError(f"{self.kind.value} requires a target")
-        arity = CONTROL_ARITY[self.kind]
-        if arity is None:
-            if len(self.controls) < 3:
+            qubits = controls
+        else:
+            if target is None:
+                raise CircuitError(f"{kind.value} requires a target")
+            arity = CONTROL_ARITY[kind]
+            if arity is None:
+                if len(controls) < 3:
+                    raise CircuitError(
+                        f"{kind.value} requires >= 3 controls, got {len(controls)}")
+            elif len(controls) != arity:
                 raise CircuitError(
-                    f"{self.kind.value} requires >= 3 controls, got {len(self.controls)}")
-        elif len(self.controls) != arity:
-            raise CircuitError(
-                f"{self.kind.value} requires {arity} controls, got {len(self.controls)}")
-        qubits = (*self.controls, self.target)
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError(f"duplicate qubit in {self.kind.value} on {qubits}")
-        if self.kind in ROTATION_KINDS:
-            if self.angle is None:
-                raise CircuitError(f"{self.kind.value} requires an angle")
-        elif self.angle is not None:
-            raise CircuitError(f"{self.kind.value} takes no angle")
+                    f"{kind.value} requires {arity} controls, got {len(controls)}")
+            qubits = (*controls, target)
+            if controls and len(set(qubits)) != len(qubits):
+                raise CircuitError(f"duplicate qubit in {kind.value} on {qubits}")
+            if kind in ROTATION_KINDS:
+                if angle is None:
+                    raise CircuitError(f"{kind.value} requires an angle")
+            elif angle is not None:
+                raise CircuitError(f"{kind.value} takes no angle")
+        _set_kind(self, kind)
+        _set_controls(self, controls)
+        _set_target(self, target)
+        _set_angle(self, angle)
+        _set_qubits(self, qubits)
+        _set_hash(self, hash((kind, controls, target, angle)))
+        _set_inverse(self, None)
 
-    @functools.cached_property
-    def qubits(self) -> tuple[int, ...]:
-        """All touched qubits, controls first."""
-        if self.target is None:
-            return self.controls
-        return (*self.controls, self.target)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Field by field as tuples compare: identity first, then ==.
+        return self is other or (
+            self._hash == other._hash and self.kind is other.kind
+            and self.controls == other.controls and self.target == other.target
+            and (self.angle is other.angle or self.angle == other.angle))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(kind={self.kind!r}, controls={self.controls!r}, "
+                f"target={self.target!r}, angle={self.angle!r})")
+
+    def __reduce__(self):
+        return self.__class__, (self.kind, self.controls, self.target, self.angle)
 
     @property
     def is_diagonal(self) -> bool:
@@ -159,15 +188,28 @@ class Gate:
         """Inverse gate.
 
         RCCX is its own inverse: its decomposition, reversed and inverted
-        gate by gate, is itself.
+        gate by gate, is itself.  A self-inverse gate returns itself; any
+        other keeps the gate it builds, which does not refer back to it.
         """
-        if self.kind in _SELF_INVERSE:
-            return self
-        if self.kind in _INVERSE_KIND:
-            return replace(self, kind=_INVERSE_KIND[self.kind])
-        if self.kind in ROTATION_KINDS:
-            return replace(self, angle=-self.angle)
-        raise CircuitError(f"no inverse for {self.kind.value}")
+        inv = self._inverse
+        if inv is None:
+            kind = self.kind
+            if kind in _SELF_INVERSE:
+                return self
+            if kind in _INVERSE_KIND:
+                inv = Gate(_INVERSE_KIND[kind], self.controls, self.target)
+            elif kind in ROTATION_KINDS:
+                inv = Gate(kind, self.controls, self.target, -self.angle)
+            else:
+                raise CircuitError(f"no inverse for {kind.value}")
+            _set_inverse(self, inv)
+        return inv
+
+
+# The slots' own setters: they skip `Gate.__setattr__`, which refuses every
+# assignment, and are faster than `object.__setattr__`.
+(_set_kind, _set_controls, _set_target, _set_angle, _set_qubits, _set_hash,
+ _set_inverse) = (Gate.__dict__[name].__set__ for name in Gate.__slots__)
 
 
 def rccx_decomposition(c1: int, c2: int, t: int) -> tuple[Gate, ...]:

@@ -26,7 +26,7 @@ from .build import (
 from .ir import (
     HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
     ccx, census, commutes, conforms, cs, csdg, cx, cz, h, inverse,
-    rccx, rccx_decomposition, rz, s, sdg, x,
+    rccx, rccx_decomposition, rz, s, sdg, t as tg, tdg, x,
 )
 
 
@@ -577,9 +577,8 @@ def replace_ccx_with_rccx(circuit: Circuit) -> Circuit:
 # Fixed LoGS decompositions, each certified once at import time.
 
 def _ccx_logs(c1: int, c2: int, t: int) -> list[Gate]:
-    from .ir import t as tg, tdg, h as hg
-    return [hg(t), cx(c2, t), tdg(t), cx(c1, t), tg(t), cx(c2, t), tdg(t),
-            cx(c1, t), tg(c2), tg(t), hg(t), cx(c1, c2), tg(c1), tdg(c2),
+    return [h(t), cx(c2, t), tdg(t), cx(c1, t), tg(t), cx(c2, t), tdg(t),
+            cx(c1, t), tg(c2), tg(t), h(t), cx(c1, c2), tg(c1), tdg(c2),
             cx(c1, c2)]
 
 

@@ -1,6 +1,10 @@
 """Gate/circuit IR: validation, equality, census, commutation, serialization."""
 
+import copy
+import gc
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -85,6 +89,71 @@ def test_circuit_bounds_checked():
         Circuit(2, (cx(0, 2),))
     with pytest.raises(CircuitError):
         Circuit(0, ())
+
+
+# ---------------------------------------------------------------------------
+# Gate contract: the value semantics of a frozen dataclass over
+# (kind, controls, target, angle)
+
+
+@st.composite
+def _any_gate(draw):
+    """A gate of any kind on wires 0..4, with angles from a small set so that
+    two draws are often equal."""
+    kind = draw(st.sampled_from(list(GateKind)))
+    arity = ir.CONTROL_ARITY[kind]
+    if kind is GateKind.BARRIER:
+        return Gate(kind, tuple(draw(st.permutations(range(5)))[:draw(st.integers(0, 4))]))
+    if arity is None:
+        arity = draw(st.integers(3, 4))
+    qs = draw(st.permutations(range(5)))
+    angle = draw(st.sampled_from([0.25, -0.25, 1.5])) if kind in ROTATION_KINDS else None
+    return Gate(kind, tuple(qs[:arity]), qs[arity], angle)
+
+
+def _value(g):
+    return g.kind, g.controls, g.target, g.angle
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_gate(), _any_gate())
+def test_gate_equality_and_hash_are_those_of_its_value(a, b):
+    assert (a == b) == (_value(a) == _value(b))
+    assert (a != b) == (_value(a) != _value(b))
+    assert hash(a) == hash(_value(a))
+    assert a.__eq__(_value(a)) is NotImplemented
+    assert a != _value(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_gate())
+def test_gate_is_frozen(g):
+    for name in ("kind", "controls", "target", "angle", "qubits", "unknown"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(g, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_gate())
+def test_gate_copies_round_trip_with_the_dataclass_repr(g):
+    assert repr(g) == (f"Gate(kind={g.kind!r}, controls={g.controls!r}, "
+                       f"target={g.target!r}, angle={g.angle!r})")
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert twin.qubits == g.qubits
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_gate())
+def test_gate_inverse_is_built_once_and_refers_to_no_gate_that_refers_back(g):
+    inv = g.inverse()
+    assert g.inverse() is inv
+    assert inv.inverse() == g
+    # A self-inverse gate returns itself; keeping it would make a cycle.
+    assert all(r is not g for r in gc.get_referents(g))
+    assert all(r is not g for r in gc.get_referents(inv))
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,50 @@ def test_occurrence_prefilter_indexes_the_kinds_of_the_rules_it_runs():
     assert fired > 20
 
 
+def _ref_bindings(gates, pattern):
+    """The first-gate bindings of `pattern` at `gates[0]` that the prefilter
+    must keep: those under which each later pattern gate with a bound wire
+    occurs after the previous one.  An occurrence is a gate of its kind with
+    the bound target as target or, when the target is unbound, with the
+    first bound control among its controls."""
+    kept = []
+    for binding in passes._match_gate(pattern[0], gates[0], {}):
+        last = 0
+        for p in pattern[1:]:
+            bound = [binding[c] for c in p.controls if c in binding]
+            if p.target not in binding and not bound:
+                continue
+            last = next((j for j in range(last + 1, len(gates)) if gates[j].kind is p.kind
+                         and (gates[j].target == binding[p.target] if p.target in binding
+                              else bound[0] in gates[j].controls)), None)
+            if last is None:
+                break
+        else:
+            kept.append(binding)
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_prefilter_keeps_the_bindings_a_linear_scan_keeps(seed):
+    # A prefilter that keeps a binding it could rule out still finds every
+    # match, so only the bindings it keeps show the difference.
+    rng = random.Random(400 + seed)
+    rules = list(ALL_RULES.values())
+    kept = ruled_out = 0
+    for _ in range(60):
+        gates = _planted_gates(rng, rng.randint(3, 6), rules)
+        unswept = passes._Unswept(gates, rules)
+        for start in range(len(gates)):
+            for rule in RULES.values():
+                pattern = rule.pattern.gates
+                want = _ref_bindings(gates[start:], pattern)
+                assert unswept.bindings(pattern) == want, (rule.name, start)
+                kept += len(want)
+                ruled_out += len(passes._match_gate(pattern[0], gates[start], {})) - len(want)
+            unswept.pop()
+    assert kept > 100 and ruled_out > 100, (kept, ruled_out)
+
+
 def test_certify_refuses_rule_that_keeps_entangling_count():
     # A rewrite that does not lower the count could fire forever in one sweep.
     with pytest.raises(CircuitError, match="does not lower"):
