@@ -38,14 +38,13 @@ class GateKind(enum.Enum):
     RCCX = "RCCX"
     CCRZ = "CCRZ"
     MCRZ = "MCRZ"
-    BARRIER = "Barrier"
 
     # Members are singletons, so the identity hash agrees with equality and
     # spares every Gate hash and kind-set lookup Enum's Python-level __hash__.
     __hash__ = object.__hash__
 
 
-# Fixed control arity per kind; None means variable (>= 3) or not applicable.
+# Fixed control arity per kind; None means variable (>= 3).
 CONTROL_ARITY = {
     GateKind.X: 0, GateKind.H: 0, GateKind.S: 0, GateKind.SDG: 0,
     GateKind.T: 0, GateKind.TDG: 0, GateKind.Z: 0, GateKind.RZ: 0,
@@ -53,7 +52,7 @@ CONTROL_ARITY = {
     GateKind.CX: 1, GateKind.CZ: 1, GateKind.CY: 1, GateKind.CS: 1,
     GateKind.CSDG: 1, GateKind.CRZ: 1,
     GateKind.CCX: 2, GateKind.RCCX: 2, GateKind.CCRZ: 2,
-    GateKind.MCRZ: None, GateKind.BARRIER: None,
+    GateKind.MCRZ: None,
 }
 
 ROTATION_KINDS = frozenset({
@@ -74,7 +73,7 @@ X_FAMILY_KINDS = frozenset({
 
 _SELF_INVERSE = frozenset({
     GateKind.X, GateKind.H, GateKind.Z, GateKind.CX, GateKind.CZ,
-    GateKind.CY, GateKind.CCX, GateKind.RCCX, GateKind.BARRIER,
+    GateKind.CY, GateKind.CCX, GateKind.RCCX,
 })
 
 _INVERSE_KIND = {
@@ -101,8 +100,7 @@ class Gate:
 
     Controls are stored sorted for every kind but RCCX, whose unitary
     depends on the control order, so gates that differ only in control
-    order are equal and hash alike.  Barriers carry their spanned qubits in
-    ``controls`` and have no target.
+    order are equal and hash alike.
 
     A gate is immutable: assigning or deleting an attribute raises
     `dataclasses.FrozenInstanceError`.  Equality and the hash are those of
@@ -118,31 +116,24 @@ class Gate:
         controls = tuple(controls)
         if len(controls) > 1 and kind is not GateKind.RCCX:
             controls = tuple(sorted(controls))
-        if kind is GateKind.BARRIER:
-            if target is not None or angle is not None:
-                raise CircuitError("barrier takes spanned qubits only")
-            if len(set(controls)) != len(controls):
-                raise CircuitError("barrier qubits must be distinct")
-            qubits = controls
-        else:
-            if target is None:
-                raise CircuitError(f"{kind.value} requires a target")
-            arity = CONTROL_ARITY[kind]
-            if arity is None:
-                if len(controls) < 3:
-                    raise CircuitError(
-                        f"{kind.value} requires >= 3 controls, got {len(controls)}")
-            elif len(controls) != arity:
+        if target is None:
+            raise CircuitError(f"{kind.value} requires a target")
+        arity = CONTROL_ARITY[kind]
+        if arity is None:
+            if len(controls) < 3:
                 raise CircuitError(
-                    f"{kind.value} requires {arity} controls, got {len(controls)}")
-            qubits = (*controls, target)
-            if controls and len(set(qubits)) != len(qubits):
-                raise CircuitError(f"duplicate qubit in {kind.value} on {qubits}")
-            if kind in ROTATION_KINDS:
-                if angle is None:
-                    raise CircuitError(f"{kind.value} requires an angle")
-            elif angle is not None:
-                raise CircuitError(f"{kind.value} takes no angle")
+                    f"{kind.value} requires >= 3 controls, got {len(controls)}")
+        elif len(controls) != arity:
+            raise CircuitError(
+                f"{kind.value} requires {arity} controls, got {len(controls)}")
+        qubits = (*controls, target)
+        if controls and len(set(qubits)) != len(qubits):
+            raise CircuitError(f"duplicate qubit in {kind.value} on {qubits}")
+        if kind in ROTATION_KINDS:
+            if angle is None:
+                raise CircuitError(f"{kind.value} requires an angle")
+        elif angle is not None:
+            raise CircuitError(f"{kind.value} takes no angle")
         _set_kind(self, kind)
         _set_controls(self, controls)
         _set_target(self, target)
@@ -182,7 +173,7 @@ class Gate:
 
     @property
     def is_entangling(self) -> bool:
-        return self.kind is not GateKind.BARRIER and len(self.controls) > 0
+        return len(self.controls) > 0
 
     def inverse(self) -> "Gate":
         """Inverse gate.
@@ -264,9 +255,6 @@ class Circuit:
     def with_gates(self, gates) -> "Circuit":
         return replace(self, gates=tuple(gates))
 
-    def without_barriers(self) -> "Circuit":
-        return self.with_gates(g for g in self.gates if g.kind is not GateKind.BARRIER)
-
     def concat(self, other: "Circuit") -> "Circuit":
         if (other.num_qubits, other.num_ancillas) != (self.num_qubits, self.num_ancillas):
             raise CircuitError("circuit widths differ")
@@ -279,35 +267,22 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Gate-set levels
-
-@dataclass(frozen=True)
-class GateSetLevel:
-    name: str
-    max_controls: int | None  # None = unbounded
-    allowed_kinds: frozenset[GateKind]
-
+# Gate-set levels: the kinds each level allows.  Every kind but MCRZ has a
+# fixed control count, so a level's kinds also bound its controls.
 
 _SINGLE_QUBIT = frozenset(k for k, a in CONTROL_ARITY.items() if a == 0)
 
-HIGS = GateSetLevel("HiGS", None, frozenset(GateKind) - {GateKind.RCCX})
-MIGS = GateSetLevel("MiGS", 2, _SINGLE_QUBIT | {
+HIGS = frozenset(GateKind) - {GateKind.RCCX}
+MIGS = _SINGLE_QUBIT | {
     GateKind.CX, GateKind.CZ, GateKind.CY, GateKind.CS, GateKind.CSDG,
-    GateKind.CRZ, GateKind.CCX, GateKind.RCCX, GateKind.CCRZ, GateKind.BARRIER,
-})
-LOGS = GateSetLevel("LoGS", 1, frozenset({
-    GateKind.RZ, GateKind.X, GateKind.H, GateKind.CX, GateKind.BARRIER,
-}))
+    GateKind.CRZ, GateKind.CCX, GateKind.RCCX, GateKind.CCRZ,
+}
+LOGS = frozenset({GateKind.RZ, GateKind.X, GateKind.H, GateKind.CX})
 
 
-def conforms(circuit: Circuit, level: GateSetLevel) -> bool:
-    """True iff every gate's kind is allowed and its control count fits."""
-    for g in circuit.gates:
-        if g.kind not in level.allowed_kinds:
-            return False
-        if level.max_controls is not None and len(g.controls) > level.max_controls:
-            return False
-    return True
+def conforms(circuit: Circuit, level: frozenset[GateKind]) -> bool:
+    """True iff every gate's kind is in `level`."""
+    return all(g.kind in level for g in circuit.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +345,7 @@ class GateCensus:
 
 
 def _census_key(gate: Gate) -> str | None:
-    if gate.kind is GateKind.BARRIER or not gate.controls:
+    if not gate.controls:
         return None
     if gate.kind is GateKind.MCRZ:
         return f"C{len(gate.controls)}RZ"
@@ -378,7 +353,7 @@ def _census_key(gate: Gate) -> str | None:
 
 
 def census(circuit: Circuit) -> GateCensus:
-    """Count multi-qubit gates by kind; single-qubit gates and barriers excluded."""
+    """Count multi-qubit gates by kind; single-qubit gates excluded."""
     counts: dict[str, int] = {}
     for g in circuit.gates:
         key = _census_key(g)
@@ -394,11 +369,8 @@ def census(circuit: Circuit) -> GateCensus:
 def commutes(a: Gate, b: Gate) -> bool:
     """Sound, conservative commutation check.
 
-    Returns True only when the gate unitaries provably commute; barriers
-    block everything.
+    Returns True only when the gate unitaries provably commute.
     """
-    if a.kind is GateKind.BARRIER or b.kind is GateKind.BARRIER:
-        return False
     if not set(a.qubits) & set(b.qubits):
         return True
     if a == b:
@@ -443,9 +415,7 @@ def write_circuit(circuit: Circuit) -> bytes:
 
 
 def _gate_record(g: Gate) -> dict:
-    rec: dict = {"kind": g.kind.value, "controls": list(g.controls)}
-    if g.target is not None:
-        rec["target"] = g.target
+    rec: dict = {"kind": g.kind.value, "controls": list(g.controls), "target": g.target}
     if g.angle is not None:
         rec["angle"] = g.angle
     return rec
@@ -508,7 +478,7 @@ _QASM_NAMES = {
     GateKind.X: "x", GateKind.H: "h", GateKind.S: "s", GateKind.SDG: "sdg",
     GateKind.T: "t", GateKind.TDG: "tdg", GateKind.Z: "z", GateKind.RZ: "rz",
     GateKind.RX: "rx", GateKind.CX: "cx", GateKind.CZ: "cz", GateKind.CY: "cy",
-    GateKind.CRZ: "crz", GateKind.CCX: "ccx", GateKind.BARRIER: "barrier",
+    GateKind.CRZ: "crz", GateKind.CCX: "ccx",
 }
 
 
@@ -520,10 +490,6 @@ def write_qasm(circuit: Circuit) -> str:
         if name is None:
             raise UnsupportedGateError(
                 f"{g.kind.value} has no QASM export; lower the circuit first")
-        if g.kind is GateKind.BARRIER:
-            args = ", ".join(f"q[{q}]" for q in g.controls) or "q"
-            lines.append(f"barrier {args};")
-            continue
         if g.angle is not None:
             name = f"{name}({g.angle!r})"
         args = ", ".join(f"q[{q}]" for q in g.qubits)
@@ -563,7 +529,3 @@ def mcrz(controls: tuple[int, ...], t_: int, angle: float) -> Gate:
     if k == 2:
         return ccrz(controls[0], controls[1], t_, angle)
     return Gate(GateKind.MCRZ, tuple(controls), t_, angle)
-
-
-def barrier(qubits: tuple[int, ...]) -> Gate:
-    return Gate(GateKind.BARRIER, tuple(qubits), None)

@@ -74,8 +74,8 @@ def cancel_adjacent(circuit: Circuit) -> Circuit:
     tol, cap = ANGLE_TOLERANCE, MAX_SWEEPS
     # A merge that reaches a zero angle drops its gate at once, so zero
     # rotations need dropping only here.
-    gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER
-             and not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
+    gates = [g for g in circuit.gates
+             if not (g.kind in ROTATION_KINDS and abs(g.angle) <= tol)]
     # Gates are known by a key that a merge renews; `watchers` holds the
     # keys of the live gates.
     keys = list(range(len(gates)))
@@ -292,9 +292,7 @@ class _Unswept:
     lookup asks for.  A lower key is a later gate, and every lookup looks
     after the next gate, so moving the sweep on pops that gate's entries, a
     rewrite pops the keys of the span it replaces and pushes its body, and
-    no other entry ever changes.  The gates must be barrier-free, as
-    `apply_rules` makes them: the matcher looks only at the wires a match
-    binds.
+    no other entry ever changes.
     """
 
     def __init__(self, gates, rules):
@@ -419,8 +417,7 @@ def _apply_binding(circ: Circuit, binding: dict[int, int]) -> list[Gate]:
     out = []
     for g in circ.gates:
         controls = tuple(binding[q] for q in g.controls)
-        target = binding[g.target] if g.target is not None else None
-        out.append(Gate(g.kind, controls, target, g.angle))
+        out.append(Gate(g.kind, controls, binding[g.target], g.angle))
     return out
 
 
@@ -536,7 +533,7 @@ def replace_ccx_with_rccx(circuit: Circuit) -> Circuit:
     """
     if not conforms(circuit, MIGS):
         raise ConformanceError("replace_ccx_with_rccx expects a MiGS circuit")
-    gates = list(circuit.without_barriers().gates)
+    gates = list(circuit.gates)
     paired: dict[int, tuple[str, int]] = {}
     open_stack: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gates):
@@ -600,7 +597,7 @@ _RZ_EQUIV = {GateKind.Z: math.pi, GateKind.S: math.pi / 2,
 def _lower_gate_logs(g: Gate) -> list[Gate]:
     """Fixed LoGS decomposition of one gate, with S/T/Z-family gates as RZ."""
     kind = g.kind
-    if kind in LOGS.allowed_kinds or kind in _RZ_EQUIV:
+    if kind in LOGS or kind in _RZ_EQUIV:
         parts = [g]
     elif kind is GateKind.RX:
         parts = [h(g.target), rz(g.target, g.angle), h(g.target)]
@@ -657,7 +654,7 @@ def decompose_to_logs(circuit: Circuit) -> Circuit:
     other gate takes its fixed decomposition.  This is the DETO lowering.
     """
     out: list[Gate] = []
-    for g in circuit.without_barriers().gates:
+    for g in circuit.gates:
         if g.kind is GateKind.MCRZ:
             out.extend(gray_mcrz(g.controls, g.target, g.angle))
         else:
@@ -740,7 +737,9 @@ def pipeline_mlco(params: PdeParams, steps: int,
     if steps > 1:
         stages.append(Stage(f"{steps}-step MiGS composed", composed,
                             time.perf_counter() - tick))
-    final, rest = run_passes(composed, MLCO_PASSES[2:], f"{steps}-step ")
+    # A single step's own chain already ends with the MiGS simplification.
+    todo = MLCO_PASSES[2:] if steps > 1 else MLCO_PASSES[3:]
+    final, rest = run_passes(composed, todo, f"{steps}-step ")
     return final, stages + rest
 
 

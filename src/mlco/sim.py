@@ -19,8 +19,8 @@ Wires above the block start in |0>, so a circuit whose ancillas return to
 `unitary_of`, and `apply` once its rows would outgrow its amplitude budget
 (the dense switch), run in-place slice kernels (Häner & Steiger, SC 2017)
 on the state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a
-trailing batch axis.  Every gate but BARRIER and RCCX is a 2x2 on the
-target applied where every control is |1>, i.e. to two views of the tensor
+trailing batch axis.  Every gate but RCCX is a 2x2 on the target
+applied where every control is |1>, i.e. to two views of the tensor
 (target 0 and target 1, controls fixed to 1).  Diagonal kinds scale those
 views, X-type kinds swap them, H becomes sum and difference, and RZ scales
 only the target-1 view; the scalars left out (H's 1/sqrt 2, RZ's
@@ -124,8 +124,6 @@ def unitary_of_kind(kind: GateKind, angle: float | None = None,
     Basis order puts the first control in the most significant bit and the
     target in the least significant one.
     """
-    if kind is GateKind.BARRIER:
-        raise ValueError("barrier has no unitary")
     if kind in _BASE_1Q:
         return _BASE_1Q[kind](angle)
     if kind is GateKind.RCCX:
@@ -165,8 +163,6 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
     buffers of half the tensor's size; nothing is allocated here.
     """
     kind = gate.kind
-    if kind is GateKind.BARRIER:
-        return 1.0
     if kind is GateKind.RCCX:
         factor = 1.0
         for g in rccx_decomposition(*gate.qubits):
@@ -234,12 +230,12 @@ def _run(tensor: np.ndarray, gates, n: int, scratch: tuple[np.ndarray, np.ndarra
 
 
 def _primitive_gates(circuit: Circuit) -> list[Gate]:
-    """The circuit's gates with RCCX replaced by its decomposition and barriers dropped."""
+    """The circuit's gates with RCCX replaced by its decomposition."""
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind is GateKind.RCCX:
             out += rccx_decomposition(*g.qubits)
-        elif g.kind is not GateKind.BARRIER:
+        else:
             out.append(g)
     return out
 

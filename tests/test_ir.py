@@ -15,7 +15,7 @@ from mlco import ir, passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
     FIXED_CX_COST, HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate,
-    GateCensus, GateKind, ParseError, UnsupportedGateError, barrier, ccrz, ccx,
+    GateCensus, GateKind, ParseError, UnsupportedGateError, ccrz, ccx,
     census, commutes, conforms, crz, cs, cx, cz, h, inverse, mcrz, mcrz_cx_cost,
     rccx, rccx_decomposition, read_circuit, rx, rz, s, sdg, write_circuit,
     write_qasm, x,
@@ -102,8 +102,6 @@ def _any_gate(draw):
     two draws are often equal."""
     kind = draw(st.sampled_from(list(GateKind)))
     arity = ir.CONTROL_ARITY[kind]
-    if kind is GateKind.BARRIER:
-        return Gate(kind, tuple(draw(st.permutations(range(5)))[:draw(st.integers(0, 4))]))
     if arity is None:
         arity = draw(st.integers(3, 4))
     qs = draw(st.permutations(range(5)))
@@ -231,8 +229,7 @@ def test_conforms_examples():
 
 def test_census_counts_entangling_gates_only():
     c = Circuit(6, (h(0), x(1), rz(2, 0.5), cx(0, 1), cz(1, 2),
-                    mcrz((0, 1, 2, 3), 4, 0.1), ccx(0, 1, 2),
-                    barrier((0, 1))))
+                    mcrz((0, 1, 2, 3), 4, 0.1), ccx(0, 1, 2)))
     assert census(c) == {"CX": 1, "CZ": 1, "C4RZ": 1, "CCX": 1}
 
 
@@ -316,10 +313,10 @@ def test_commutes_is_sound(a, b):
         assert np.abs(sim.unitary_of(ca) - sim.unitary_of(cb)).max() < 1e-12
 
 
-def test_barrier_blocks_commutation():
-    bar = barrier((0, 1))
-    assert not commutes(bar, x(5))
-    assert not commutes(rz(0, 0.2), bar)
+def test_barrier_record_is_rejected():
+    with pytest.raises(UnsupportedGateError, match="unknown kind 'Barrier'"):
+        read_circuit('{"num_qubits": 2, "num_ancillas": 0, '
+                     '"gates": [{"kind": "Barrier", "controls": [0, 1]}]}')
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,6 @@ def test_rotation_merge_and_zero_drop():
     assert got == (crz(0, 1, 0.5),)
 
 
-def test_cancel_drops_barriers():
-    from mlco.ir import barrier
-    c = Circuit(2, (h(0), barrier((0, 1)), h(0)))
-    assert cancel_adjacent(c).gates == ()
-
-
 # ---------------------------------------------------------------------------
 # rewrite rules
 
@@ -252,7 +246,7 @@ def _ref_cancel_adjacent(circuit):
     """The full-scan fixpoint and the sweeps it takes, the confirming one
     included; every acting sweep drops a gate, so it needs no cap."""
     tol = passes.ANGLE_TOLERANCE
-    gates = [g for g in circuit.gates if g.kind is not GateKind.BARRIER]
+    gates = list(circuit.gates)
     sweeps = 0
     changed = True
     while changed:
@@ -530,7 +524,7 @@ def test_optimize_logs_fuses_single_qubit_runs():
 def test_optimize_logs_never_increases_cx():
     p = PdeParams(n=5)
     low = lower_to_logs(replace_ccx_with_rccx(lower_vchain(
-        build_one_step(p, WingStyle.STAIR).without_barriers())))
+        build_one_step(p, WingStyle.STAIR))))
     before = census(low)["CX"]
     after = census(optimize_logs(low))["CX"]
     assert after <= before
@@ -569,6 +563,14 @@ def test_pipeline_stage_names():
 def test_pipeline_one_step_has_no_composed_stage():
     _, stages = pipeline_mlco(PdeParams(n=4), 1, WingStyle.SPRAY)
     assert "1-step MiGS composed" not in [s.name for s in stages]
+
+
+@pytest.mark.parametrize("style", ["stair", "spray"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pipeline_stage_names_are_unique(style, k):
+    _, stages = pipeline_mlco(PdeParams(n=4), k, WingStyle(style))
+    names = [s.name for s in stages]
+    assert len(set(names)) == len(names), names
 
 
 def test_pipeline_end_to_end_equivalence_small():

@@ -16,8 +16,6 @@ MULTI_CONTROL_KINDS = (GateKind.MCRZ,)
 def _reference_apply_gate(tensor, gate, n):
     """The dense path the kernels replaced: move the gate's axes to the
     front, multiply by its unitary, move them back."""
-    if gate.kind is GateKind.BARRIER:
-        return tensor
     if gate.kind is GateKind.RCCX:
         u = _reference_unitary(Circuit(3, rccx_decomposition(2, 1, 0)))
     else:
@@ -52,8 +50,6 @@ def _fixed_controls(kind):
 
 def _random_gate(rng, kind, n):
     wires = [int(q) for q in rng.permutation(n)]
-    if kind is GateKind.BARRIER:
-        return Gate(kind, tuple(wires[:rng.integers(1, n + 1)]))
     k = int(rng.integers(3, n)) if kind in MULTI_CONTROL_KINDS else _fixed_controls(kind)
     angle = float(rng.uniform(-np.pi, np.pi)) if kind in ROTATION_KINDS else None
     return Gate(kind, tuple(wires[:k]), wires[k], angle)
@@ -62,8 +58,6 @@ def _random_gate(rng, kind, n):
 def _min_wires(kind):
     if kind in MULTI_CONTROL_KINDS:
         return 4
-    if kind is GateKind.BARRIER:
-        return 1
     return _fixed_controls(kind) + 1
 
 
@@ -118,8 +112,6 @@ def test_kernel_on_gate_spanning_every_wire(kind):
     rng = np.random.default_rng(7)
     n = _min_wires(kind)
     gate = _random_gate(rng, kind, n)
-    if kind is GateKind.BARRIER:
-        gate = Gate(kind, tuple(range(n)))
     assert len(gate.qubits) == n
     c = Circuit(n, (gate,))
     state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
