@@ -104,12 +104,25 @@ class Gate:
 
     A gate is immutable: assigning or deleting an attribute raises
     `dataclasses.FrozenInstanceError`.  Equality and the hash are those of
-    ``(kind, controls, target, angle)``.  Construction computes the hash
-    and ``qubits``, every touched wire with the controls first, once;
-    `inverse` builds its gate on first use and keeps it.
+    ``(kind, controls, target, angle)``.  Construction computes the hash,
+    ``qubits`` (every touched wire, the controls first) and the wire masks
+    below once; `inverse` builds its gate on first use and keeps it.
+
+    The masks have bit ``q`` set for wire ``q``.  ``wires`` holds every
+    touched wire; the others hold the wires on which the gate plays one
+    commutation role (see `gates_commute`):
+
+    - ``d_wires``: every wire of a diagonal kind (role D);
+    - ``c_wires``: the controls of X/CX/CCX (role C);
+    - ``z_wires``: the wires in role D, C or K, where K is a control of
+      CY/RCCX;
+    - ``x_wires``: the target of X/CX/CCX/RX (role X).
+
+    The targets of H, CY and RCCX play no role.
     """
 
-    __slots__ = ("kind", "controls", "target", "angle", "qubits", "_hash", "_inverse")
+    __slots__ = ("kind", "controls", "target", "angle", "qubits", "wires",
+                 "d_wires", "z_wires", "c_wires", "x_wires", "_hash", "_inverse")
 
     def __init__(self, kind: GateKind, controls: tuple[int, ...] = (),
                  target: int | None = None, angle: float | None = None):
@@ -127,7 +140,14 @@ class Gate:
             raise CircuitError(
                 f"{kind.value} requires {arity} controls, got {len(controls)}")
         qubits = (*controls, target)
-        if controls and len(set(qubits)) != len(qubits):
+        if target < 0 or (controls and min(controls) < 0):
+            raise CircuitError(f"negative qubit in {kind.value} on {qubits}")
+        target_bit, controls_mask = 1 << target, 0
+        for q in controls:
+            controls_mask |= 1 << q
+        wires = controls_mask | target_bit
+        # Equal wires share a bit.
+        if controls and wires.bit_count() != len(qubits):
             raise CircuitError(f"duplicate qubit in {kind.value} on {qubits}")
         if kind in ROTATION_KINDS:
             if angle is None:
@@ -139,6 +159,19 @@ class Gate:
         _set_target(self, target)
         _set_angle(self, angle)
         _set_qubits(self, qubits)
+        _set_wires(self, wires)
+        if kind in DIAGONAL_KINDS:
+            _set_d_wires(self, wires)
+            _set_z_wires(self, wires)
+            _set_c_wires(self, 0)
+            _set_x_wires(self, 0)
+        else:
+            x_family = kind in X_FAMILY_KINDS
+            _set_d_wires(self, 0)
+            # The controls of every kind that is not diagonal are C or K.
+            _set_z_wires(self, controls_mask)
+            _set_c_wires(self, controls_mask if x_family else 0)
+            _set_x_wires(self, target_bit if x_family or kind is GateKind.RX else 0)
         _set_hash(self, hash((kind, controls, target, angle)))
         _set_inverse(self, None)
 
@@ -168,10 +201,6 @@ class Gate:
         return self.__class__, (self.kind, self.controls, self.target, self.angle)
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.kind in DIAGONAL_KINDS
-
-    @property
     def is_entangling(self) -> bool:
         return len(self.controls) > 0
 
@@ -199,7 +228,8 @@ class Gate:
 
 # The slots' own setters: they skip `Gate.__setattr__`, which refuses every
 # assignment, and are faster than `object.__setattr__`.
-(_set_kind, _set_controls, _set_target, _set_angle, _set_qubits, _set_hash,
+(_set_kind, _set_controls, _set_target, _set_angle, _set_qubits, _set_wires,
+ _set_d_wires, _set_z_wires, _set_c_wires, _set_x_wires, _set_hash,
  _set_inverse) = (Gate.__dict__[name].__set__ for name in Gate.__slots__)
 
 
@@ -236,11 +266,12 @@ class Circuit:
             raise CircuitError("num_qubits must be >= 1")
         if not 0 <= self.num_ancillas < self.num_qubits:
             raise CircuitError("num_ancillas out of range")
+        # A gate has no negative wire, so one shift finds a wire out of range.
+        n = self.num_qubits
         for g in self.gates:
-            for q in g.qubits:
-                if not 0 <= q < self.num_qubits:
-                    raise CircuitError(
-                        f"gate {g.kind.value} touches qubit {q} >= num_qubits={self.num_qubits}")
+            if g.wires >> n:
+                q = next(q for q in g.qubits if q >= n)
+                raise CircuitError(f"gate {g.kind.value} touches qubit {q} >= num_qubits={n}")
 
     def __len__(self):
         return len(self.gates)
@@ -365,40 +396,21 @@ def census(circuit: Circuit) -> GateCensus:
 # ---------------------------------------------------------------------------
 # Commutation
 
-@functools.lru_cache(maxsize=1 << 20)
-def commutes(a: Gate, b: Gate) -> bool:
+def gates_commute(a: Gate, b: Gate) -> bool:
     """Sound, conservative commutation check.
 
-    Returns True only when the gate unitaries provably commute.
+    Returns True only when the gate unitaries provably commute: when the
+    gates are equal, or when every wire they share pairs the roles (see
+    `Gate`) D with D, C or K, or C with C, or X with X.
     """
-    if not set(a.qubits) & set(b.qubits):
-        return True
-    if a == b:
-        return True
-    if a.is_diagonal and b.is_diagonal:
-        return True
-    if a.is_diagonal and _reads_only(a, b):
-        return True
-    if b.is_diagonal and _reads_only(b, a):
-        return True
-    if a.kind in X_FAMILY_KINDS and b.kind in X_FAMILY_KINDS:
-        return a.target not in b.controls and b.target not in a.controls
-    if _is_x_axis(a) and b.kind in X_FAMILY_KINDS:
-        return a.target == b.target
-    if _is_x_axis(b) and a.kind in X_FAMILY_KINDS:
-        return b.target == a.target
-    if _is_x_axis(a) and _is_x_axis(b):
-        return a.target == b.target
-    return False
+    return not (a.wires & b.wires & ~(
+        (a.d_wires & b.z_wires) | (b.d_wires & a.z_wires)
+        | (a.c_wires & b.c_wires) | (a.x_wires & b.x_wires))) or a == b
 
 
-def _reads_only(diag: Gate, other: Gate) -> bool:
-    """True if `other` only reads (as controls) the qubits `diag` touches."""
-    return not (set(diag.qubits) & (set(other.qubits) - set(other.controls)))
-
-
-def _is_x_axis(g: Gate) -> bool:
-    return g.kind in (GateKind.X, GateKind.RX)
+#: `gates_commute` behind a cache, for callers that ask about the same
+#: pairs again and again.
+commutes = functools.lru_cache(maxsize=1 << 20)(gates_commute)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +440,7 @@ def _is_qubit(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_gate(i: int, rec) -> Gate:
+def _parse_gate(i: int, rec, num_qubits: int) -> Gate:
     if not isinstance(rec, dict):
         raise ParseError(f"gate {i}: record must be an object")
     name = rec.get("kind")
@@ -442,6 +454,11 @@ def _parse_gate(i: int, rec) -> Gate:
     if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))
                               or not math.isfinite(angle)):
         raise ParseError(f"gate {i}: angle must be a finite number, got {angle!r}")
+    # Before the gate exists: its wire masks take memory in proportion to
+    # its highest wire.
+    for q in (*controls, target) if target is not None else controls:
+        if q >= num_qubits:
+            raise ParseError(f"gate {i}: {name} touches qubit {q} >= num_qubits={num_qubits}")
     try:
         return Gate(_KIND_BY_NAME[name], tuple(controls), target, angle)
     except CircuitError as exc:
@@ -467,11 +484,12 @@ def read_circuit(data: bytes | str) -> Circuit:
             raise ParseError(f"{name} must be an integer, got {value!r}")
     if not isinstance(records, list):
         raise ParseError("gates must be a list")
-    gates = [_parse_gate(i, rec) for i, rec in enumerate(records)]
     try:
-        return Circuit(num_qubits, tuple(gates), num_ancillas)
+        header = Circuit(num_qubits, (), num_ancillas)
     except CircuitError as exc:
         raise ParseError(str(exc)) from exc
+    gates = [_parse_gate(i, rec, num_qubits) for i, rec in enumerate(records)]
+    return header.with_gates(gates)
 
 
 _QASM_NAMES = {

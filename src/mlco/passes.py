@@ -25,7 +25,7 @@ from .build import (
 )
 from .ir import (
     HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
-    ccx, census, commutes, conforms, cs, csdg, cx, cz, h, inverse,
+    ccx, census, commutes, conforms, cs, csdg, cx, cz, gates_commute, h, inverse,
     rccx, rccx_decomposition, rz, s, sdg, t as tg, tdg, x,
 )
 
@@ -46,14 +46,6 @@ MAX_SWEEPS = 64
 
 # ---------------------------------------------------------------------------
 # Commutation-aware cancellation
-
-def _merged(a: Gate, b: Gate) -> Gate | None:
-    """Merge candidate for two rotations of the same kind on the same support."""
-    if (a.kind is b.kind and a.kind in ROTATION_KINDS
-            and a.controls == b.controls and a.target == b.target):
-        return Gate(a.kind, a.controls, a.target, a.angle + b.angle)
-    return None
-
 
 def cancel_adjacent(circuit: Circuit) -> Circuit:
     """Cancel inverse pairs and merge rotations across commuting gates, to fixpoint.
@@ -101,36 +93,39 @@ def cancel_adjacent(circuit: Circuit) -> Circuit:
                 i += 1
                 continue
             g = gates[i]
-            inverse_g = g.inverse()
-            wires = set(g.qubits)
+            kind, controls, target, wires = g.kind, g.controls, g.target, g.wires
+            rotation = kind in ROTATION_KINDS
             examined = []
             acted = False
             for j in range(i + 1, len(gates)):
                 other = gates[j]
                 # A gate off g's wires is no inverse or merge partner and
                 # commutes with g; one with another target can only commute.
-                if wires.isdisjoint(other.qubits):
+                if not wires & other.wires:
                     continue
                 examined.append(keys[j])
-                if other.target == g.target:
-                    if inverse_g == other:
+                if other.target == target:
+                    if rotation:
+                        # A rotation's inverse is its merge to a zero angle.
+                        if other.kind is kind and other.controls == controls:
+                            drop(j)
+                            angle = g.angle + other.angle
+                            if abs(angle) <= tol:
+                                drop(i)
+                            else:
+                                gates[i] = Gate(kind, controls, target, angle)
+                                keys[i] = next(fresh)
+                                watchers[keys[i]] = []
+                                dirty.add(keys[i])
+                                retire(key)
+                            acted = True
+                            break
+                    elif g.inverse() == other:
                         drop(j)
                         drop(i)
                         acted = True
                         break
-                    merged = _merged(g, other)
-                    if merged is not None:
-                        drop(j)
-                        if abs(merged.angle) <= tol:
-                            drop(i)
-                        else:
-                            gates[i], keys[i] = merged, next(fresh)
-                            watchers[keys[i]] = []
-                            dirty.add(keys[i])
-                            retire(key)
-                        acted = True
-                        break
-                if not commutes(g, other):
+                if not gates_commute(g, other):
                     break
             if acted:
                 changed = True
@@ -652,13 +647,19 @@ def decompose_to_logs(circuit: Circuit) -> Circuit:
 
     Every MCRZ becomes a gray-code multiplexed rotation (`gray_mcrz`); every
     other gate takes its fixed decomposition.  This is the DETO lowering.
+    Each distinct gate is lowered once: equal gates share their output gates.
     """
+    lowered: dict[Gate, list[Gate]] = {}
     out: list[Gate] = []
     for g in circuit.gates:
-        if g.kind is GateKind.MCRZ:
-            out.extend(gray_mcrz(g.controls, g.target, g.angle))
-        else:
-            out.extend(_lower_gate_logs(g))
+        parts = lowered.get(g)
+        if parts is None:
+            if g.kind is GateKind.MCRZ:
+                parts = gray_mcrz(g.controls, g.target, g.angle)
+            else:
+                parts = _lower_gate_logs(g)
+            lowered[g] = parts
+        out.extend(parts)
     return circuit.with_gates(out)
 
 

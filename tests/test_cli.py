@@ -185,6 +185,22 @@ def test_barrier_file_is_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["count", "optimize", "verify", "export"])
+def test_negative_wire_file_is_rejected(tmp_path, capsys, command):
+    path = tmp_path / "negative.mlco"
+    path.write_text('{"num_qubits": 2, "num_ancillas": 0, "gates": '
+                    '[{"kind": "H", "controls": [], "target": 0}, '
+                    '{"kind": "X", "controls": [], "target": -1}]}')
+    if command == "verify":
+        code, _, err = run(capsys, "verify", "--a", str(path), "--b", str(path))
+    else:
+        out = () if command == "count" else ("--out", str(tmp_path / "o"))
+        code, _, err = run(capsys, command, "--in", str(path), *out)
+    assert code == 2
+    assert "gate 1: negative qubit in X" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_optimize_lowers_cy_gates_to_logs(tmp_path, capsys):
     src, out_path = tmp_path / "cy.mlco", tmp_path / "cy-opt.mlco"
     src.write_bytes(write_circuit(Circuit(5, (

@@ -2,8 +2,10 @@
 
 import copy
 import gc
+import itertools
 import math
 import pickle
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -91,6 +93,24 @@ def test_circuit_bounds_checked():
         Circuit(0, ())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Gate(GateKind.X, (), -1), lambda: cx(-1, 0), lambda: ccx(0, -2, 1),
+    lambda: rccx(1, -1, 0), lambda: mcrz((0, 1, -3), 2, 0.5),
+], ids=["X", "CX", "CCX", "RCCX", "MCRZ"])
+def test_negative_wire_rejected(make):
+    with pytest.raises(CircuitError, match="negative qubit"):
+        make()
+
+
+def test_circuit_range_error_names_the_first_offending_gate_and_wire():
+    # The controls come first in `qubits`, sorted: CCX(4, 3, 0) names wire 3.
+    with pytest.raises(CircuitError, match=r"^gate CCX touches qubit 3 >= num_qubits=3$"):
+        Circuit(3, (cx(0, 2), ccx(4, 3, 0), x(5)))
+    with pytest.raises(CircuitError, match=r"^gate X touches qubit 3 >= num_qubits=3$"):
+        Circuit(3, (cx(0, 2), x(3)))
+    assert Circuit(3, (ccx(2, 0, 1),)).gates == (ccx(0, 2, 1),)
+
+
 # ---------------------------------------------------------------------------
 # Gate contract: the value semantics of a frozen dataclass over
 # (kind, controls, target, angle)
@@ -126,7 +146,7 @@ def test_gate_equality_and_hash_are_those_of_its_value(a, b):
 @settings(max_examples=100, deadline=None)
 @given(_any_gate())
 def test_gate_is_frozen(g):
-    for name in ("kind", "controls", "target", "angle", "qubits", "unknown"):
+    for name in ("kind", "controls", "target", "angle", "qubits", "wires", "unknown"):
         with pytest.raises(FrozenInstanceError):
             setattr(g, name, None)
         with pytest.raises(FrozenInstanceError):
@@ -152,6 +172,14 @@ def test_gate_inverse_is_built_once_and_refers_to_no_gate_that_refers_back(g):
     # A self-inverse gate returns itself; keeping it would make a cycle.
     assert all(r is not g for r in gc.get_referents(g))
     assert all(r is not g for r in gc.get_referents(inv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_gate())
+def test_gate_wire_masks_are_its_qubits(g):
+    assert g.wires == sum(1 << q for q in g.qubits)
+    for mask in (g.d_wires, g.z_wires, g.c_wires, g.x_wires):
+        assert mask & g.wires == mask
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +341,73 @@ def test_commutes_is_sound(a, b):
         assert np.abs(sim.unitary_of(ca) - sim.unitary_of(cb)).max() < 1e-12
 
 
+# The rule-by-rule check that the wire masks replaced, frozen with its own
+# copies of the kind sets.
+_FROZEN_DIAGONAL = frozenset({
+    GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.RZ,
+    GateKind.CZ, GateKind.CS, GateKind.CSDG, GateKind.CRZ, GateKind.CCRZ, GateKind.MCRZ,
+})
+_FROZEN_X_FAMILY = frozenset({GateKind.X, GateKind.CX, GateKind.CCX})
+
+
+def _frozen_commutes(a, b):
+    def reads_only(diag, other):
+        return not (set(diag.qubits) & (set(other.qubits) - set(other.controls)))
+
+    def x_axis(g):
+        return g.kind in (GateKind.X, GateKind.RX)
+
+    a_diag, b_diag = a.kind in _FROZEN_DIAGONAL, b.kind in _FROZEN_DIAGONAL
+    if not set(a.qubits) & set(b.qubits):
+        return True
+    if a == b:
+        return True
+    if a_diag and b_diag:
+        return True
+    if a_diag and reads_only(a, b):
+        return True
+    if b_diag and reads_only(b, a):
+        return True
+    if a.kind in _FROZEN_X_FAMILY and b.kind in _FROZEN_X_FAMILY:
+        return a.target not in b.controls and b.target not in a.controls
+    if x_axis(a) and b.kind in _FROZEN_X_FAMILY:
+        return a.target == b.target
+    if x_axis(b) and a.kind in _FROZEN_X_FAMILY:
+        return b.target == a.target
+    if x_axis(a) and x_axis(b):
+        return a.target == b.target
+    return False
+
+
+def _every_gate_on(n):
+    """Every distinct gate on wires 0..n-1, rotations at two opposite angles."""
+    gates = []
+    for kind in GateKind:
+        arity = ir.CONTROL_ARITY[kind]
+        if arity is None:
+            arity = n - 1
+        for qs in itertools.permutations(range(n), arity + 1):
+            for angle in (0.25, -0.25) if kind in ROTATION_KINDS else (None,):
+                gates.append(Gate(kind, qs[:arity], qs[arity], angle))
+    return list(dict.fromkeys(gates))
+
+
+def test_commutation_masks_agree_with_the_rule_by_rule_check_on_every_pair():
+    gates = _every_gate_on(4)
+    assert len(gates) == 196
+    assert commutes.__wrapped__ is ir.gates_commute
+    verdicts = Counter()
+    wrong = []
+    for a in gates:
+        for b in gates:
+            want = _frozen_commutes(a, b)
+            verdicts[want] += 1
+            if ir.gates_commute(a, b) != want:
+                wrong.append((a, b, want))
+    assert wrong[:5] == []
+    assert verdicts[True] > 10_000 and verdicts[False] > 10_000
+
+
 def test_barrier_record_is_rejected():
     with pytest.raises(UnsupportedGateError, match="unknown kind 'Barrier'"):
         read_circuit('{"num_qubits": 2, "num_ancillas": 0, '
@@ -351,6 +446,17 @@ def test_read_rejects_out_of_range_qubit():
     doc = write_circuit(Circuit(4, (cx(0, 3),))).decode()
     with pytest.raises(ParseError):
         read_circuit(doc.replace('"num_qubits": 4', '"num_qubits": 2'))
+
+
+def test_read_rejects_out_of_range_qubit_before_building_its_gate():
+    # A gate's wire masks grow with its highest wire.
+    with pytest.raises(ParseError, match=r"^gate 1: CX touches qubit 10000000 >= num_qubits=2$"):
+        read_circuit('{"num_qubits": 2, "num_ancillas": 0, "gates": ['
+                     '{"kind": "X", "controls": [], "target": 1}, '
+                     '{"kind": "CX", "controls": [10000000], "target": 0}]}')
+    with pytest.raises(ParseError, match=r"^gate 0: negative qubit in X on \(-1,\)$"):
+        read_circuit('{"num_qubits": 2, "num_ancillas": 0, "gates": ['
+                     '{"kind": "X", "controls": [], "target": -1}]}')
 
 
 def test_read_rejects_missing_angle():

@@ -10,9 +10,9 @@ import pytest
 from mlco import passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
-    Circuit, CircuitError, GateKind, LOGS, MIGS, ROTATION_KINDS, ccrz, ccx,
-    census, commutes, conforms, crz, cs, cx, cy, cz, h, inverse, mcrz, rccx, rz,
-    s, sdg, t, tdg, x,
+    CONTROL_ARITY, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
+    ccrz, ccx, census, commutes, conforms, crz, cs, cx, cy, cz, h, inverse, mcrz,
+    rccx, rz, s, sdg, t, tdg, x,
 )
 from mlco.passes import (
     RULES, ConformanceError, FixpointCapError, apply_rules,
@@ -242,6 +242,14 @@ def _ref_extend(gates, pattern, p_idx, positions, binding, gather):
     return None
 
 
+def _merged(a, b):
+    """Merge candidate for two rotations of the same kind on the same support."""
+    if (a.kind is b.kind and a.kind in ROTATION_KINDS
+            and a.controls == b.controls and a.target == b.target):
+        return Gate(a.kind, a.controls, a.target, a.angle + b.angle)
+    return None
+
+
 def _ref_cancel_adjacent(circuit):
     """The full-scan fixpoint and the sweeps it takes, the confirming one
     included; every acting sweep drops a gate, so it needs no cap."""
@@ -265,7 +273,7 @@ def _ref_cancel_adjacent(circuit):
                     del gates[j], gates[i]
                     acted = True
                     break
-                merged = passes._merged(g, other)
+                merged = _merged(g, other)
                 if merged is not None:
                     del gates[j]
                     if abs(merged.angle) <= tol:
@@ -296,6 +304,21 @@ def _random_gates(rng, wires, length):
             lambda: ccx(q[0], q[1], q[2]),
         ])
         gates.append(make())
+    return gates
+
+
+def _random_gates_of_every_kind(rng, wires, length):
+    """Like `_random_gates`, but over every kind (MCRZ needs 4 wires), so that
+    every commutation role meets every other one."""
+    gates = []
+    for _ in range(length):
+        kind = rng.choice(list(GateKind))
+        arity = CONTROL_ARITY[kind]
+        if arity is None:
+            arity = rng.randint(3, wires - 1)
+        q = rng.sample(range(wires), arity + 1)
+        angle = rng.choice([0.25, -0.25, 0.5]) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, tuple(q[:arity]), q[arity], angle))
     return gates
 
 
@@ -332,6 +355,37 @@ def test_wire_skipping_cancel_adjacent_equals_full_scan(seed):
         assert _exact(cancel_adjacent(c).gates) == _exact(want.gates)
         acted += len(want.gates) < len(c.gates)
     assert acted > 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cancel_adjacent_equals_full_scan_on_every_kind(seed):
+    rng = random.Random(200 + seed)
+    acted = merged = 0
+    for _ in range(80):
+        c = Circuit(5, tuple(_random_gates_of_every_kind(rng, rng.randint(4, 5),
+                                                          rng.randint(4, 40))))
+        want, _ = _ref_cancel_adjacent(c)
+        assert _exact(cancel_adjacent(c).gates) == _exact(want.gates)
+        acted += len(want.gates) < len(c.gates)
+        merged += any(g not in c.gates for g in want.gates)
+    assert acted > 10 and merged > 3
+
+
+def test_decompose_to_logs_lowers_each_distinct_gate_once():
+    rng = random.Random(5)
+    gates = _random_gates_of_every_kind(rng, 5, 80)
+    gates += gates[:40]
+    got = passes.decompose_to_logs(Circuit(5, tuple(gates))).gates
+    parts = [gray_mcrz(g.controls, g.target, g.angle) if g.kind is GateKind.MCRZ
+             else passes._lower_gate_logs(g) for g in gates]
+    assert _exact(got) == _exact([p for part in parts for p in part])
+    # Equal input gates share their output gates.
+    first = {}
+    starts = itertools.accumulate((len(part) for part in parts), initial=0)
+    for g, start, part in zip(gates, starts, parts):
+        out = got[start:start + len(part)]
+        assert all(a is b for a, b in zip(out, first.setdefault(g, out)))
+    assert len(first) < len(gates)
 
 
 def test_occurrence_prefilter_indexes_the_kinds_of_the_rules_it_runs():
