@@ -15,7 +15,7 @@ from . import report as report_mod
 from . import sim
 from .build import H2Order, PdeParams, WingStyle, build_one_step, build_steps, compose_steps
 from .ir import (
-    MIGS, Circuit, CircuitError, census, conforms,
+    MIGS, Circuit, CircuitError, census, conforms, format_census, naive_cx,
     read_circuit, write_circuit, write_qasm,
 )
 from .passes import DETO_PASSES, MLCO_PASSES, run_passes
@@ -28,12 +28,10 @@ def _params(args) -> PdeParams:
 
 
 def _print_census(circ: Circuit) -> None:
-    c = census(circ)
-    body = ", ".join(f"{k}:{v}" for k, v in sorted(c.counts.items())) or "(none)"
     print(f"qubits={circ.num_qubits} ancillas={circ.num_ancillas} "
           f"gates={len(circ.gates)}")
-    print(f"census: {body}")
-    print(f"naive-lowered CX: {c.total_cx_after_naive_lowering}")
+    print(f"census: {format_census(census(circ)) or '(none)'}")
+    print(f"naive-lowered CX: {naive_cx(circ)}")
 
 
 def cmd_build(args) -> int:
@@ -76,13 +74,10 @@ def cmd_optimize(args) -> int:
             print("deto strategy always lowers to logs", file=sys.stderr)
             return 2
         out, stages = run_passes(circ, DETO_PASSES)
-        print(f"cost-model CX: {census(circ).total_cx_after_naive_lowering}")
+        print(f"cost-model CX: {naive_cx(circ)}")
     Path(args.out).write_bytes(write_circuit(out))
-    lines = []
-    for stage in stages:
-        body = ", ".join(f"{k}:{v}"
-                         for k, v in sorted(census(stage.circuit).counts.items()))
-        lines.append(f"{stage.name:20s} {body}")
+    lines = [f"{stage.name:20s} {format_census(census(stage.circuit))}"
+             for stage in stages]
     print("\n".join(lines))
     if args.report:
         Path(args.report).write_text("\n".join(lines) + "\n")

@@ -15,7 +15,8 @@ import enum
 import functools
 import json
 import math
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 
 class GateKind(enum.Enum):
@@ -320,10 +321,10 @@ def conforms(circuit: Circuit, level: frozenset[GateKind]) -> bool:
 # Census
 
 # CX cost of each entangling kind under the fixed LoGS decompositions; with
-# `mcrz_cx_cost` for C{k}RZ, the one CX price table.
+# `mcrz_cx_cost` for MCRZ, the one CX price table.
 FIXED_CX_COST = {
-    "CCX": 6, "RCCX": 3, "CCRZ": 4, "CRZ": 2, "CS": 2, "CSdg": 2,
-    "CZ": 1, "CY": 1, "CX": 1,
+    GateKind.CCX: 6, GateKind.RCCX: 3, GateKind.CCRZ: 4, GateKind.CRZ: 2,
+    GateKind.CS: 2, GateKind.CSDG: 2, GateKind.CZ: 1, GateKind.CY: 1, GateKind.CX: 1,
 }
 
 
@@ -335,62 +336,22 @@ def mcrz_cx_cost(k: int) -> int:
     return table[k] if k < 8 else 16 * k - 24
 
 
-@dataclass(frozen=True)
-class GateCensus:
-    """Per-kind entangling-gate counts plus their naive-lowered CX total."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "counts", {k: v for k, v in self.counts.items() if v})
-        if any(v < 0 for v in self.counts.values()):
-            raise CircuitError("census counts must be non-negative")
-
-    def __getitem__(self, key: str) -> int:
-        return self.counts.get(key, 0)
-
-    def __eq__(self, other):
-        if isinstance(other, dict):
-            return self.counts == {k: v for k, v in other.items() if v}
-        if isinstance(other, GateCensus):
-            return self.counts == other.counts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.counts.items()))
-
-    @property
-    def total_cx_after_naive_lowering(self) -> int:
-        total = 0
-        for key, count in self.counts.items():
-            if key.startswith("C") and key.endswith("RZ") and key[1:-2].isdigit():
-                total += count * mcrz_cx_cost(int(key[1:-2]))
-            else:
-                total += count * FIXED_CX_COST.get(key, 0)
-        return total
-
-    def __repr__(self):
-        items = ", ".join(f"{k}:{v}" for k, v in sorted(self.counts.items()))
-        return f"GateCensus({{{items}}})"
+def census(circuit: Circuit) -> Counter[str]:
+    """Count multi-qubit gates by kind name, an MCRZ with k controls as
+    ``C{k}RZ``; single-qubit gates excluded."""
+    return Counter(f"C{len(g.controls)}RZ" if g.kind is GateKind.MCRZ else g.kind.value
+                   for g in circuit.gates if g.controls)
 
 
-def _census_key(gate: Gate) -> str | None:
-    if not gate.controls:
-        return None
-    if gate.kind is GateKind.MCRZ:
-        return f"C{len(gate.controls)}RZ"
-    return gate.kind.value
+def naive_cx(circuit: Circuit) -> int:
+    """The circuit's CX count after each gate takes its priced LoGS lowering."""
+    return sum(mcrz_cx_cost(len(g.controls)) if g.kind is GateKind.MCRZ
+               else FIXED_CX_COST.get(g.kind, 0) for g in circuit.gates)
 
 
-def census(circuit: Circuit) -> GateCensus:
-    """Count multi-qubit gates by kind; single-qubit gates excluded."""
-    counts: dict[str, int] = {}
-    for g in circuit.gates:
-        key = _census_key(g)
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    return GateCensus(counts)
+def format_census(counts: Counter[str]) -> str:
+    """``kind:count`` pairs in key order, comma-separated; empty for no gates."""
+    return ", ".join(f"{k}:{v}" for k, v in sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------

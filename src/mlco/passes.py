@@ -26,7 +26,7 @@ from .build import (
 from .ir import (
     HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
     ccx, census, commutes, conforms, cs, csdg, cx, cz, gates_commute, h, inverse,
-    rccx, rccx_decomposition, rz, s, sdg, t as tg, tdg, x,
+    naive_cx, rccx, rccx_decomposition, rz, s, sdg, t as tg, tdg, x,
 )
 
 
@@ -566,22 +566,12 @@ def replace_ccx_with_rccx(circuit: Circuit) -> Circuit:
     return apply_rules(circuit.with_gates(out), rules_named(FUSION_RULE_NAMES))
 
 
-# Fixed LoGS decompositions, each certified once at import time.
+# Fixed LoGS decompositions; tests check each against the oracle.
 
 def _ccx_logs(c1: int, c2: int, t: int) -> list[Gate]:
     return [h(t), cx(c2, t), tdg(t), cx(c1, t), tg(t), cx(c2, t), tdg(t),
             cx(c1, t), tg(c2), tg(t), h(t), cx(c1, c2), tg(c1), tdg(c2),
             cx(c1, c2)]
-
-
-def _crz_logs(c: int, t: int, theta: float) -> list[Gate]:
-    return [rz(t, theta / 2), cx(c, t), rz(t, -theta / 2), cx(c, t)]
-
-
-def _ccrz_logs(c1: int, c2: int, t: int, theta: float) -> list[Gate]:
-    # Gray-code multiplexed rotation: four CX, four quarter-angle RZ.
-    return [rz(t, theta / 4), cx(c1, t), rz(t, -theta / 4), cx(c2, t),
-            rz(t, theta / 4), cx(c1, t), rz(t, -theta / 4), cx(c2, t)]
 
 
 _RZ_EQUIV = {GateKind.Z: math.pi, GateKind.S: math.pi / 2,
@@ -602,16 +592,12 @@ def _lower_gate_logs(g: Gate) -> list[Gate]:
     elif kind is GateKind.CY:
         (c,), t = g.controls, g.target
         parts = [sdg(t), cx(c, t), s(t)]
-    elif kind is GateKind.CS:
-        (c,), t = g.controls, g.target
-        parts = [rz(c, math.pi / 4)] + _crz_logs(c, t, math.pi / 2)
-    elif kind is GateKind.CSDG:
-        (c,), t = g.controls, g.target
-        parts = [rz(c, -math.pi / 4)] + _crz_logs(c, t, -math.pi / 2)
-    elif kind is GateKind.CRZ:
-        parts = _crz_logs(g.controls[0], g.target, g.angle)
-    elif kind is GateKind.CCRZ:
-        parts = _ccrz_logs(*g.controls, g.target, g.angle)
+    elif kind in (GateKind.CS, GateKind.CSDG):
+        sign = 1 if kind is GateKind.CS else -1
+        parts = [rz(g.controls[0], sign * math.pi / 4),
+                 *gray_mcrz(g.controls, g.target, sign * math.pi / 2)]
+    elif kind in (GateKind.CRZ, GateKind.CCRZ, GateKind.MCRZ):
+        parts = gray_mcrz(g.controls, g.target, g.angle)
     elif kind is GateKind.CCX:
         parts = _ccx_logs(*g.controls, g.target)
     elif kind is GateKind.RCCX:
@@ -627,8 +613,6 @@ def gray_mcrz(controls: tuple[int, ...], target: int, theta: float) -> list[Gate
     k = len(controls)
     if k == 0:
         return [rz(target, theta)]
-    if k == 1:
-        return _crz_logs(controls[0], target, theta)
     size = 2 ** k
     # Rotation angles are the Walsh coefficients of the all-ones selector.
     gates: list[Gate] = []
@@ -645,20 +629,17 @@ def gray_mcrz(controls: tuple[int, ...], target: int, theta: float) -> list[Gate
 def decompose_to_logs(circuit: Circuit) -> Circuit:
     """Any circuit -> LoGS without ancillas or optimization.
 
-    Every MCRZ becomes a gray-code multiplexed rotation (`gray_mcrz`); every
-    other gate takes its fixed decomposition.  This is the DETO lowering.
-    Each distinct gate is lowered once: equal gates share their output gates.
+    Every gate takes its fixed decomposition (`_lower_gate_logs`), every
+    controlled Z-rotation a gray-code multiplexed one (`gray_mcrz`).  This is
+    the DETO lowering.  Each distinct gate is lowered once: equal gates share
+    their output gates.
     """
     lowered: dict[Gate, list[Gate]] = {}
     out: list[Gate] = []
     for g in circuit.gates:
         parts = lowered.get(g)
         if parts is None:
-            if g.kind is GateKind.MCRZ:
-                parts = gray_mcrz(g.controls, g.target, g.angle)
-            else:
-                parts = _lower_gate_logs(g)
-            lowered[g] = parts
+            parts = lowered[g] = _lower_gate_logs(g)
         out.extend(parts)
     return circuit.with_gates(out)
 
@@ -754,8 +735,7 @@ def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
     from the cost model by design.
     """
     if mode == "cost-model":
-        step = census(build_one_step(params, style))
-        return None, steps * step.total_cx_after_naive_lowering
+        return None, steps * naive_cx(build_one_step(params, style))
     if mode != "executable":
         raise ValueError(f"unknown DETO mode {mode!r}")
     optimized, _ = run_passes(build_steps(params, steps, style), DETO_PASSES)

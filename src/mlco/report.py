@@ -9,10 +9,11 @@ sizes.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 
 from .build import PdeParams, WingStyle
-from .ir import GateCensus, census, mcrz_cx_cost
+from .ir import census, format_census, mcrz_cx_cost, naive_cx
 from .passes import Stage, gray_mcrz, pipeline_deto, pipeline_mlco
 
 #: Reference stage censuses for the n=6 stair pipeline (entangling gates only).
@@ -62,14 +63,14 @@ def deto_cost_model_cx(n: int) -> int:
 @dataclass(frozen=True)
 class StageReport:
     name: str
-    census: GateCensus
+    census: Counter[str]
     naive_cx: int
     seconds: float
 
     @classmethod
     def from_stage(cls, stage: Stage) -> "StageReport":
-        c = census(stage.circuit)
-        return cls(stage.name, c, c.total_cx_after_naive_lowering, stage.seconds)
+        return cls(stage.name, census(stage.circuit), naive_cx(stage.circuit),
+                   stage.seconds)
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,11 @@ def reproduce_table1() -> list[Table1Row]:
         report = StageReport.from_stage(stage)
         expected = REFERENCE_ROWS.get(stage.name)
         if stage.name.endswith("LoGS target"):
-            passed = report.census.counts.get("CX", 0) <= 78
+            passed = report.census["CX"] <= 78
         elif expected is None:
             passed = True
         else:
-            passed = dict(report.census.counts) == expected
+            passed = report.census == expected
         rows.append(Table1Row(report, expected, passed))
     return rows
 
@@ -100,7 +101,7 @@ def format_table1(rows: list[Table1Row]) -> str:
     out = io.StringIO()
     out.write(f"{'stage':28s} {'census':50s} {'L0:CX':>6s} {'ok':>4s}\n")
     for row in rows:
-        body = ", ".join(f"{k}:{v}" for k, v in sorted(row.report.census.counts.items()))
+        body = format_census(row.report.census)
         mark = "pass" if row.passed else "FAIL"
         out.write(f"{row.report.name:28s} {body:50s} {row.report.naive_cx:>6d} {mark:>4s}\n")
     return out.getvalue()
@@ -145,8 +146,8 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
         _, stages = pipeline_mlco(params, steps, style)
         jd = [s for s in stages if s.name.endswith("LoGS input")][0]
         final = stages[-1]
-        cx_jd = census(jd.circuit).counts.get("CX", 0)
-        cx_final = census(final.circuit).counts.get("CX", 0)
+        cx_jd = census(jd.circuit)["CX"]
+        cx_final = census(final.circuit)["CX"]
         if style is WingStyle.SPRAY:
             predicted = steps * mlco_spray_step_cx(n)
         else:
@@ -179,6 +180,6 @@ def format_sweep(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reduction_ratio(logs_target: GateCensus) -> float:
+def reduction_ratio(logs_target: Counter[str]) -> float:
     """Per-step CX reduction of the two-step "LoGS target" census against the DETO reference."""
     return 1.0 - logs_target["CX"] / 2 / DETO_REFERENCE_PER_STEP

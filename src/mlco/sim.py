@@ -19,13 +19,13 @@ Wires above the block start in |0>, so a circuit whose ancillas return to
 `unitary_of`, and `apply` once its rows would outgrow its amplitude budget
 (the dense switch), run in-place slice kernels (Häner & Steiger, SC 2017)
 on the state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a
-trailing batch axis.  Every gate but RCCX is a 2x2 on the target
+trailing batch axis.  Both simulators run RCCX as `rccx_decomposition`,
+which defines its unitary, so every gate they see is a 2x2 on the target
 applied where every control is |1>, i.e. to two views of the tensor
 (target 0 and target 1, controls fixed to 1).  Diagonal kinds scale those
 views, X-type kinds swap them, H becomes sum and difference, and RZ scales
 only the target-1 view; the scalars left out (H's 1/sqrt 2, RZ's
-e^{-i theta/2}) are multiplied in at the end.  RCCX runs as
-`rccx_decomposition`, which defines its unitary.
+e^{-i theta/2}) are multiplied in at the end.
 
 `equivalent_up_to_phase` runs one check per width: up to
 FULL_UNITARY_MAX_QUBITS wires it compares the two `data_block`s, beyond
@@ -156,18 +156,14 @@ _FACTOR_FLOOR = 2.0 ** -200
 
 def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
                 scratch: tuple[np.ndarray, np.ndarray]) -> complex:
-    """Apply `gate` in place to a tensor shaped (2,)*n (+ trailing batch axes).
+    """Apply `gate`, of any kind but RCCX, in place to a tensor shaped
+    (2,)*n (+ trailing batch axes).
 
     Returns the scalar the kernel leaves out (RZ's e^{-i theta/2}, H's
     1/sqrt 2) for the caller to multiply in.  `scratch` holds two flat
     buffers of half the tensor's size; nothing is allocated here.
     """
     kind = gate.kind
-    if kind is GateKind.RCCX:
-        factor = 1.0
-        for g in rccx_decomposition(*gate.qubits):
-            factor *= _apply_gate(tensor, g, n, scratch)
-        return factor
     # a, b: the target = 0 and target = 1 halves with every control at 1.
     # The trailing ... keeps them views even when every axis is fixed.
     idx = [slice(None)] * n
@@ -218,7 +214,8 @@ def _scratch(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run(tensor: np.ndarray, gates, n: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """Apply `gates` in place to `tensor`, shaped (2,)*n (+ trailing batch axes)."""
+    """Apply `gates`, none of them RCCX, in place to `tensor`, shaped (2,)*n
+    (+ trailing batch axes)."""
     factor = 1.0
     for g in gates:
         factor *= _apply_gate(tensor, g, n, scratch)
@@ -412,7 +409,7 @@ def unitary_of(circuit: Circuit, width: int | None = None) -> np.ndarray:
         raise CapacityError(f"{n} qubits at width {width} exceeds unitary cap "
                             f"{UNITARY_QUBIT_CAP}")
     u = np.eye(2 ** n, 2 ** width, dtype=complex)
-    _run(u.reshape((2,) * n + (2 ** width,)), circuit.gates, n, _scratch(u))
+    _run(u.reshape((2,) * n + (2 ** width,)), _primitive_gates(circuit), n, _scratch(u))
     return u
 
 

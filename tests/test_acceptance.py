@@ -36,7 +36,7 @@ def test_1_reference_table_censuses_exact():
     for name, expected in REFERENCE_ROWS.items():
         if name == "2-step LoGS input":
             continue  # CX total checked in criterion 2
-        got = dict(by_name[name].report.census.counts)
+        got = dict(by_name[name].report.census)
         assert got == expected, f"{name}: {got} != {expected}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

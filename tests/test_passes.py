@@ -10,13 +10,13 @@ import pytest
 from mlco import passes, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
-    CONTROL_ARITY, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
-    ccrz, ccx, census, commutes, conforms, crz, cs, cx, cy, cz, h, inverse, mcrz,
-    rccx, rz, s, sdg, t, tdg, x,
+    CONTROL_ARITY, FIXED_CX_COST, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate,
+    GateKind, ccrz, ccx, census, commutes, conforms, crz, cs, csdg, cx, cy, cz, h, inverse,
+    mcrz, rccx, rx, rz, s, sdg, t, tdg, x,
 )
 from mlco.passes import (
     RULES, ConformanceError, FixpointCapError, apply_rules,
-    cancel_adjacent, gray_mcrz, lower_to_logs, lower_vchain, optimize_logs,
+    cancel_adjacent, decompose_to_logs, gray_mcrz, lower_to_logs, lower_vchain, optimize_logs,
     pipeline_deto, pipeline_mlco, replace_ccx_with_rccx, rules_named,
 )
 
@@ -526,20 +526,34 @@ def test_rccx_replacement_rejects_higs_input():
 # ---------------------------------------------------------------------------
 # LoGS lowering
 
+# One gate of every kind, controls before the target.
+ONE_OF_EVERY_KIND = (
+    ccx(0, 1, 2), rccx(0, 1, 2), ccrz(0, 1, 2, 0.4), crz(0, 1, 0.4), cz(0, 1), cs(0, 1),
+    csdg(0, 1), cx(0, 1), cy(0, 1), mcrz((0, 1, 2), 3, 0.4), x(0), h(0),
+    Gate(GateKind.Z, (), 0), s(0), sdg(0), t(0), tdg(0), rz(0, 0.4), rx(0, 0.4),
+)
+
+
+def test_one_of_every_kind_covers_every_kind():
+    assert sorted(g.kind.value for g in ONE_OF_EVERY_KIND) \
+        == sorted(k.value for k in GateKind)
+
+
 @pytest.mark.parametrize("gate,want_cx", [
-    (ccx(0, 1, 2), 6),
-    (rccx(0, 1, 2), 3),
-    (ccrz(0, 1, 2, 0.4), 4),
-    (crz(0, 1, 0.4), 2),
-    (cz(0, 1), 1),
-    (cs(0, 1), 2),
-])
+    (g, 2 ** len(g.controls) if g.kind is GateKind.MCRZ else FIXED_CX_COST.get(g.kind, 0))
+    for g in ONE_OF_EVERY_KIND])
 def test_logs_decomposition_cx_budget(gate, want_cx):
-    c = Circuit(3, (gate,))
-    low = lower_to_logs(c)
+    low = decompose_to_logs(Circuit(len(gate.qubits), (gate,)))
     assert conforms(low, LOGS)
     assert census(low)["CX"] == want_cx
-    assert _equiv(c, low, tol=1e-12)
+    # Against the oracle, with the wires in its order: the first control
+    # the most significant, the target the least.
+    top = len(gate.qubits) - 1
+    wire = {q: top - i for i, q in enumerate(gate.qubits)}
+    low = low.with_gates(Gate(g.kind, tuple(wire[c] for c in g.controls),
+                              wire[g.target], g.angle) for g in low.gates)
+    want = sim.gate_unitary(gate)
+    assert np.abs(sim.align_phase(sim.unitary_of(low), want) - want).max() < 1e-12
 
 
 def test_lower_to_logs_whole_circuit():

@@ -4,7 +4,7 @@ import pytest
 
 from mlco import report
 from mlco.build import WingStyle
-from mlco.ir import GateCensus
+from mlco.ir import FIXED_CX_COST, GateKind
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, REFERENCE_ROWS,
     deto_cost_model_cx, format_sweep, format_table1, mlco_one_step_cx,
@@ -57,9 +57,9 @@ def test_migs_census_law_matches_two_step_formula():
     # Naive lowering of the replaced 2-step MiGS census reproduces the
     # linear law: 4*2(n-2) + 3*2(n-3) + 2*2 + 2(3n-6) = 2(10n - 21).
     for n in range(3, 40):
-        law = GateCensus({"CCRZ": 2 * (n - 2), "RCCX": 2 * (n - 3),
-                          "CRZ": 2, "CX": 2 * (3 * n - 6)})
-        assert law.total_cx_after_naive_lowering == mlco_two_step_cx(n)
+        law = {GateKind.CCRZ: 2 * (n - 2), GateKind.RCCX: 2 * (n - 3),
+               GateKind.CRZ: 2, GateKind.CX: 2 * (3 * n - 6)}
+        assert sum(FIXED_CX_COST[k] * v for k, v in law.items()) == mlco_two_step_cx(n)
 
 
 def test_scaling_sweep_rows_match():
