@@ -232,11 +232,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "command", None) == "build":
-        if args.qubits < 3 or getattr(args, "steps", 1) < 1:
+    if args.command == "build":
+        if args.qubits < 3 or args.steps < 1:
             ap.error("--qubits must be >= 3 and --steps >= 1")
         if args.order is None:
             args.order = "alt" if args.steps >= 2 else "inc"
+    elif args.command == "verify" and args.steps < 1:
+        ap.error("--steps must be >= 1")
     try:
         return args.fn(args)
     except (CircuitError, sim.CapacityError, OSError, ValueError) as exc:

@@ -25,7 +25,15 @@ applied where every control is |1>, i.e. to two views of the tensor
 (target 0 and target 1, controls fixed to 1).  Diagonal kinds scale those
 views, X-type kinds swap them, H becomes sum and difference, and RZ scales
 only the target-1 view; the scalars left out (H's 1/sqrt 2, RZ's
-e^{-i theta/2}) are multiplied in at the end.
+e^{-i theta/2}) are multiplied in at the end.  Under `unitary_of`'s batch
+axis, X-type and diagonal gates leave the tensor alone: they act, by the
+same views, on a row map over the 2**n basis indices (row y of the result
+is phase[y] times row src[y]), which the tensor takes in one gather and one
+multiply before the next gate of another kind and at the end (Häner &
+Steiger's diagonal and permutation kernels).  The dense switch holds one
+column, where applying a gate costs no more than updating the map, so it
+applies every gate directly.  Either needs one scratch buffer of the
+tensor's size.
 
 `equivalent_up_to_phase` runs one check per width: up to
 FULL_UNITARY_MAX_QUBITS wires it compares the two `data_block`s, beyond
@@ -42,7 +50,10 @@ import math
 
 import numpy as np
 
-from .ir import CONTROL_ARITY, X_FAMILY_KINDS, Circuit, Gate, GateKind, rccx_decomposition
+from .ir import (
+    CONTROL_ARITY, DIAGONAL_KINDS, X_FAMILY_KINDS, Circuit, Gate, GateKind,
+    rccx_decomposition,
+)
 
 UNITARY_QUBIT_CAP = 12
 STATEVECTOR_QUBIT_CAP = 24
@@ -154,17 +165,9 @@ _SQRT_HALF = math.sqrt(0.5)
 _FACTOR_FLOOR = 2.0 ** -200
 
 
-def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
-                scratch: tuple[np.ndarray, np.ndarray]) -> complex:
-    """Apply `gate`, of any kind but RCCX, in place to a tensor shaped
-    (2,)*n (+ trailing batch axes).
-
-    Returns the scalar the kernel leaves out (RZ's e^{-i theta/2}, H's
-    1/sqrt 2) for the caller to multiply in.  `scratch` holds two flat
-    buffers of half the tensor's size; nothing is allocated here.
-    """
-    kind = gate.kind
-    # a, b: the target = 0 and target = 1 halves with every control at 1.
+def _halves(tensor: np.ndarray, gate: Gate, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the target = 0 and target = 1 halves of a tensor shaped
+    (2,)*n (+ trailing batch axes), with every control of `gate` at 1."""
     # The trailing ... keeps them views even when every axis is fixed.
     idx = [slice(None)] * n
     for c in gate.controls:
@@ -173,11 +176,23 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
     idx[t] = 0
     a = tensor[(*idx, ...)]
     idx[t] = 1
-    b = tensor[(*idx, ...)]
+    return a, tensor[(*idx, ...)]
+
+
+def _apply_gate(tensor: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> complex:
+    """Apply `gate`, of any kind but RCCX, in place to a tensor shaped (2,)*n
+    (+ trailing batch axes).
+
+    Returns the scalar the kernel leaves out (RZ's e^{-i theta/2}, H's
+    1/sqrt 2) for the caller to multiply in.  `scratch` is a flat buffer of
+    at least the tensor's size; nothing is allocated here.
+    """
+    kind = gate.kind
+    a, b = _halves(tensor, gate, n)
     if kind is GateKind.RZ:
         b *= cmath.exp(1j * gate.angle)
         return cmath.exp(-0.5j * gate.angle)
-    tmp = scratch[0][:a.size].reshape(a.shape)
+    tmp = scratch[:a.size].reshape(a.shape)
     if kind is GateKind.H:
         np.add(a, b, out=tmp)
         np.subtract(a, b, out=b)
@@ -197,7 +212,7 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
         if u[1, 1] != 1:
             b *= u[1, 1]
         return 1.0
-    tmp2 = scratch[1][:a.size].reshape(a.shape)
+    tmp2 = scratch[a.size:2 * a.size].reshape(a.shape)
     np.multiply(a, u[0, 0], out=tmp)
     np.multiply(b, u[0, 1], out=tmp2)
     tmp += tmp2
@@ -208,20 +223,55 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int,
     return 1.0
 
 
-def _scratch(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = tensor.size // 2
-    return np.empty(half, dtype=complex), np.empty(half, dtype=complex)
+_ROW_KINDS = X_FAMILY_KINDS | DIAGONAL_KINDS
 
 
-def _run(tensor: np.ndarray, gates, n: int, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+def _take_rows(tensor: np.ndarray, src: np.ndarray, phase: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Make row y of `tensor` (its first n axes flattened) phase[y] times
+    its row src[y], by one gather into `scratch` and one multiply back."""
+    rows = tensor.reshape(src.size, -1)
+    moved = scratch[:rows.size].reshape(rows.shape)
+    # mode="clip" (the rows are in range) writes to `moved` unbuffered.
+    np.take(rows, src.reshape(-1), axis=0, out=moved, mode="clip")
+    np.multiply(moved, phase.reshape(-1, 1), out=rows)
+
+
+def _run(tensor: np.ndarray, gates, n: int, scratch: np.ndarray) -> None:
     """Apply `gates`, none of them RCCX, in place to `tensor`, shaped (2,)*n
-    (+ trailing batch axes)."""
+    (+ trailing batch axes), with `scratch` a flat buffer of its size.
+
+    With a batch axis, X-type and diagonal gates leave the tensor alone and
+    act on a pending row map instead, the row y of the result being phase[y]
+    times the tensor's row src[y]; the tensor takes the map in one step
+    before the next gate of another kind, and at the end.
+    """
     factor = 1.0
+    batched = tensor.ndim > n
+    src = phase = None
     for g in gates:
+        if batched and g.kind in _ROW_KINDS:
+            if src is None:
+                src = np.arange(2 ** n).reshape((2,) * n)
+                phase = np.ones((2,) * n, dtype=complex)
+            # The map is a state of its own: a gate moves its entries as it
+            # would a statevector's.
+            if g.kind in X_FAMILY_KINDS:
+                a, b = _halves(src, g, n)
+                held = a.copy()
+                a[...] = b
+                b[...] = held
+            factor *= _apply_gate(phase, g, n, scratch)
+            continue
+        if src is not None:
+            _take_rows(tensor, src, phase, scratch)
+            src = None
         factor *= _apply_gate(tensor, g, n, scratch)
         if abs(factor) < _FACTOR_FLOOR:
             tensor *= factor
             factor = 1.0
+    if src is not None:
+        _take_rows(tensor, src, phase, scratch)
     if factor != 1.0:
         tensor *= factor
 
@@ -380,7 +430,7 @@ def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray 
         # Dense switch: the remaining gates run one column at a time.
         left = np.empty(columns)
         vec = np.empty(2 ** n, dtype=complex)
-        scratch = _scratch(vec)
+        scratch = np.empty_like(vec)
         for j in range(columns):
             vec.fill(0.0)
             vec[idx] = amp[:, j]
@@ -409,7 +459,8 @@ def unitary_of(circuit: Circuit, width: int | None = None) -> np.ndarray:
         raise CapacityError(f"{n} qubits at width {width} exceeds unitary cap "
                             f"{UNITARY_QUBIT_CAP}")
     u = np.eye(2 ** n, 2 ** width, dtype=complex)
-    _run(u.reshape((2,) * n + (2 ** width,)), _primitive_gates(circuit), n, _scratch(u))
+    _run(u.reshape((2,) * n + (2 ** width,)), _primitive_gates(circuit), n,
+         np.empty(u.size, dtype=complex))
     return u
 
 

@@ -330,6 +330,15 @@ def test_verify_against_product_formula_beyond_the_full_unitary_cap(tmp_path, ca
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("against", ["product-formula", "exact-evolution"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_verify_rejects_step_counts_below_one(built, capsys, against, steps):
+    with pytest.raises(SystemExit) as e:
+        run(capsys, "verify", "--a", str(built), "--against", against, "--steps", steps)
+    assert e.value.code == 2
+    assert "--steps must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_against_exact_evolution(built, capsys):
     code, out, _ = run(capsys, "verify", "--a", str(built),
                        "--against", "exact-evolution", "--steps", "2")

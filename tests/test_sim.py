@@ -1,13 +1,15 @@
 """Dense simulation oracle: unitaries, Hamiltonians, equivalence checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mlco import sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
-    ROTATION_KINDS, Circuit, Gate, GateKind, ccx, cs, cx, cz, h, mcrz, rccx,
-    rccx_decomposition, rz, s, x,
+    DIAGONAL_KINDS, ROTATION_KINDS, X_FAMILY_KINDS, Circuit, Gate, GateKind, ccx, cs,
+    cx, cz, h, mcrz, rccx, rccx_decomposition, rz, s, x,
 )
 
 MULTI_CONTROL_KINDS = (GateKind.MCRZ,)
@@ -116,6 +118,63 @@ def test_kernel_on_gate_spanning_every_wire(kind):
     c = Circuit(n, (gate,))
     state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     assert np.abs(_apply_whole(c, state) - _reference_apply(c, state)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_row_map_runs_match_reference_at_every_width(n):
+    # Mostly X-type and diagonal gates, so that long runs of them go through
+    # the row map between the other kinds; the last run ends on an X-type
+    # gate and an RZ, so dropping either changes the unitary.
+    rng = np.random.default_rng(200 + n)
+    kinds = [k for k in GateKind if _min_wires(k) <= n]
+    row_kinds = [k for k in kinds if k in X_FAMILY_KINDS | DIAGONAL_KINDS]
+    for _ in range(3):
+        gates = []
+        for _ in range(40):
+            pool = row_kinds if rng.random() < 0.8 else kinds
+            gates.append(_random_gate(rng, pool[rng.integers(len(pool))], n))
+        gates += [_random_gate(rng, GateKind.CX if n > 1 else GateKind.X, n),
+                  _random_gate(rng, GateKind.RZ, n)]
+        c = Circuit(n, tuple(gates))
+        want = _reference_unitary(c)
+        for width in range(n + 1):
+            assert np.abs(sim.unitary_of(c, width) - want[:, :2 ** width]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x_type_circuit_is_an_exact_permutation(n):
+    rng = np.random.default_rng(300 + n)
+    kinds = [k for k in X_FAMILY_KINDS if _min_wires(k) <= n]
+    gates = tuple(_random_gate(rng, kinds[rng.integers(len(kinds))], n) for _ in range(31))
+    want = np.zeros((2 ** n, 2 ** n))
+    for col in range(2 ** n):
+        row = col
+        for g in gates:
+            if all(row >> c & 1 for c in g.controls):
+                row ^= 1 << g.target
+        want[row, col] = 1
+    assert not np.array_equal(want, np.eye(2 ** n))
+    c = Circuit(n, gates)
+    for width in range(n + 1):
+        assert np.array_equal(sim.unitary_of(c, width), want[:, :2 ** width])
+
+
+def test_unitary_of_peak_memory_is_two_tensors():
+    # numpy reports its buffers to tracemalloc.  A full 10-wire unitary holds
+    # the tensor and one scratch buffer of its size; the row map's gather
+    # (before the last H) must not buffer a third.
+    n = 10
+    gates = (tuple(h(q) for q in range(n)) + tuple(cx(q, q + 1) for q in range(n - 1))
+             + (rz(3, 0.4), ccx(0, 1, 9), h(0)))
+    c = Circuit(n, gates)
+    tensor_bytes = 16 * 4 ** n
+    tracemalloc.start()
+    try:
+        sim.unitary_of(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * tensor_bytes, peak
 
 
 def test_apply_leaves_input_unchanged_and_accepts_real_state():
