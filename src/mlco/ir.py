@@ -88,6 +88,10 @@ class CircuitError(ValueError):
     """Invalid gate or circuit construction."""
 
 
+class CapacityError(RuntimeError):
+    """Dense simulation request beyond the documented qubit caps."""
+
+
 class ParseError(CircuitError):
     """Malformed circuit document."""
 

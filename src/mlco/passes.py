@@ -9,6 +9,7 @@ pass is deterministic.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -16,9 +17,6 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import sim
 from .build import (
     H2Order, PdeParams, WingStyle, build_one_step, build_steps,
     compose_steps, step_orders,
@@ -176,9 +174,9 @@ class RewriteRule:
         pattern or more: every rewrite must strictly lower the count, which
         is what bounds a rewrite sweep.
         """
-        up = sim.unitary_of(self.pattern)
-        ur = sim.unitary_of(self.replacement)
-        dev = np.abs(sim.align_phase(up, ur) - ur).max()
+        from . import sim  # the oracle, and numpy with it, load on first use
+        dev = sim.phase_deviation(sim.unitary_of(self.pattern),
+                                  sim.unitary_of(self.replacement))
         if dev > 1e-12:
             raise CircuitError(f"rule {self.name!r} failed certification: dev={dev:g}")
         n_pat = sum(1 for g in self.pattern.gates if g.is_entangling)
@@ -199,7 +197,9 @@ def _mirror(name: str, rule: RewriteRule) -> RewriteRule:
                  list(inverse(rule.replacement).gates))
 
 
-def _build_registry() -> dict[str, RewriteRule]:
+@functools.cache
+def registry() -> dict[str, RewriteRule]:
+    """The registered rules by name, built and certified on the first call."""
     # Three CX in a stair contract to two.
     stair = _rule("cx-stair", 3,
                   [cx(0, 2), cx(1, 2), cx(0, 1)],
@@ -225,15 +225,14 @@ def _build_registry() -> dict[str, RewriteRule]:
     return {r.name: r for r in rules}
 
 
-RULES: dict[str, RewriteRule] = _build_registry()
-
 HIGS_RULE_NAMES = ("cx-stair", "cx-stair-rev", "cx-x-cx")
 MIGS_RULE_NAMES = ("ccx-x-ccx",)
 FUSION_RULE_NAMES = ("cz-cx-fuse", "cx-cz-fuse")
 
 
 def rules_named(names) -> list[RewriteRule]:
-    return [RULES[n] for n in names]
+    rules = registry()
+    return [rules[n] for n in names]
 
 
 def _match_gate(pattern_gate: Gate, gate: Gate, binding: dict[int, int]) -> list[dict[int, int]]:

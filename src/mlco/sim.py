@@ -4,6 +4,11 @@ Everything the passes claim is checked against this module.  Capacity is
 deliberately desk-scale: full unitaries up to 12 qubits (column blocks up
 to as many amplitudes), statevectors up to 24.
 
+This is the only mlco module that imports numpy.  The others import this
+module where they consult the oracle: verification, and the certification
+of the rewrite rules when the first rewrite pass asks for them.  Building,
+counting, exporting and the DETO pipeline never load numpy.
+
 `gate_unitary` (through `unitary_of_kind`) builds each gate's dense matrix
 and is the independent oracle.  No simulator multiplies by it.
 
@@ -51,7 +56,7 @@ import math
 import numpy as np
 
 from .ir import (
-    CONTROL_ARITY, DIAGONAL_KINDS, X_FAMILY_KINDS, Circuit, Gate, GateKind,
+    CONTROL_ARITY, DIAGONAL_KINDS, X_FAMILY_KINDS, CapacityError, Circuit, Gate, GateKind,
     rccx_decomposition,
 )
 
@@ -70,10 +75,6 @@ DROP_TOL = 1e-14  # apply drops a row whose amplitude is at most this in every c
 # The floor keeps DEFAULT_TRIALS states that fill all 2**13 rows in the kernel.
 ROW_BLOCK_FLOOR = 1 << 18
 MIX_CHUNK_AMPLITUDES = 1 << 12  # the row kernel mixes this many amplitudes at a time
-
-
-class CapacityError(RuntimeError):
-    """Dense simulation request beyond the documented qubit caps."""
 
 
 class AncillaLeakError(ValueError):
@@ -527,6 +528,14 @@ def expm_hermitian(a: np.ndarray, t_: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t_)) @ v.T.conj()
 
 
+def product_formula(params, steps: int = 1) -> np.ndarray:
+    """(exp(-i H1 tau) exp(-i H2 tau))**steps: the unitary that `steps`
+    first-order Trotter steps of the source circuit implement."""
+    _, h1, h2, _ = hamiltonian(params)
+    step = expm_hermitian(h1, params.tau) @ expm_hermitian(h2, params.tau)
+    return np.linalg.matrix_power(step, steps)
+
+
 def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
@@ -544,6 +553,11 @@ def align_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
     if abs(overlap) < 1e-14:
         return u
     return u * (abs(overlap) / overlap)
+
+
+def phase_deviation(u: np.ndarray, reference: np.ndarray) -> float:
+    """Largest entrywise distance from reference of u aligned to its phase."""
+    return float(np.abs(align_phase(u, reference) - reference).max())
 
 
 def data_block(circuit: Circuit, width: int) -> tuple[np.ndarray, float]:
@@ -584,7 +598,7 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, trials: int = DEFAULT_TRIALS,
         # both blocks are unitary to within 1e-20, so an entrywise match
         # within 1e-9 on at most 2**10 columns keeps every input's infidelity
         # below about (2**10 * 1e-9)**2 / 2 = 5e-13, under PHASE_TOL.
-        dev = float(np.max(np.abs(align_phase(ua, ub) - ub)))
+        dev = phase_deviation(ua, ub)
         return dev <= 1e-9, dev
     if max(a.num_qubits, b.num_qubits) > STATEVECTOR_QUBIT_CAP:
         raise CapacityError("width exceeds statevector cap")

@@ -15,8 +15,8 @@ from mlco.ir import (
     rccx_decomposition,
 )
 from mlco.passes import (
-    RULES, gray_mcrz, lower_to_logs, lower_vchain, pipeline_deto,
-    pipeline_mlco,
+    gray_mcrz, lower_to_logs, lower_vchain, pipeline_deto, pipeline_mlco,
+    registry,
 )
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, EXECUTABLE_SWEEP_CAP, REFERENCE_ROWS,
@@ -129,7 +129,7 @@ def test_5_physics_checks():
 
 
 def test_6_rule_and_decomposition_certification():
-    for name, rule in sorted(RULES.items()):
+    for name, rule in sorted(registry().items()):
         rule.certify()  # raises beyond 1e-12 or on entangling-count increase
     fixed = [
         (Circuit(3, (ccx(0, 1, 2),)), 6),

@@ -1,7 +1,14 @@
 """In-process CLI tests: subcommands, exit codes, file round-trips."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mlco
 from mlco import passes, report, sim
 from mlco.build import PdeParams, WingStyle
 from mlco.cli import main
@@ -425,3 +432,38 @@ def test_count_rejects_malformed_circuit_file(tmp_path, capsys, doc):
     code, _, err = run(capsys, "count", "--in", str(path))
     assert code == 2
     assert "error:" in err
+
+
+# The commands that never consult the oracle run first; numpy must still be
+# absent after them, and loaded once `optimize` certifies its rewrite rules.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import mlco.build, mlco.cli, mlco.ir, mlco.passes, mlco.report
+
+src, logs, deto, qasm = sys.argv[1:]
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return mlco.cli.main(list(argv))
+codes = [run("build", "-n", "6", "-k", "2", "--out", src),
+         run("count", "--in", src),
+         run("optimize", "--strategy", "deto", "--in", src, "--out", deto, "--no-verify"),
+         run("export", "--in", deto, "--out", qasm)]
+before = "numpy" in sys.modules
+codes.append(run("optimize", "--in", src, "--out", logs))
+after_optimize = "numpy" in sys.modules
+codes.append(run("verify", "--a", src, "--steps", "2"))
+print(json.dumps({"codes": codes, "before": before, "after_optimize": after_optimize}))
+"""
+
+
+def test_commands_that_do_not_simulate_never_load_numpy(tmp_path):
+    # A fresh interpreter: this one has numpy loaded already.
+    src_dir = str(Path(mlco.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)}
+    files = [str(tmp_path / name) for name in
+             ("wave.mlco", "wave_logs.mlco", "wave_deto.mlco", "wave.qasm")]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *files], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0] * 6, "before": False, "after_optimize": True}, proc.stderr

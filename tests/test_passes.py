@@ -15,9 +15,9 @@ from mlco.ir import (
     mcrz, rccx, rx, rz, s, sdg, t, tdg, x,
 )
 from mlco.passes import (
-    RULES, ConformanceError, FixpointCapError, apply_rules,
+    HIGS_RULE_NAMES, ConformanceError, FixpointCapError, apply_rules,
     cancel_adjacent, decompose_to_logs, gray_mcrz, lower_to_logs, lower_vchain, optimize_logs,
-    pipeline_deto, pipeline_mlco, replace_ccx_with_rccx, rules_named,
+    pipeline_deto, pipeline_mlco, registry, replace_ccx_with_rccx, rules_named,
 )
 
 # Matcher fixtures: certified rules that no pipeline registers, since no
@@ -38,7 +38,7 @@ FIXTURE_RULES = {r.name: r for r in (
 CX_LADDER = FIXTURE_RULES["cx-ladder"]
 
 # Every rule these tests rewrite with.
-ALL_RULES = {**RULES, **FIXTURE_RULES}
+ALL_RULES = {**registry(), **FIXTURE_RULES}
 
 
 def _equiv(a: Circuit, b: Circuit, tol=1e-10) -> bool:
@@ -96,14 +96,54 @@ def test_rule_construction_certifies():
 
 
 def test_rule_registry_names_and_order():
-    assert list(RULES) == ["cx-stair", "cx-stair-rev", "cx-x-cx", "ccx-x-ccx",
-                           "cz-cx-fuse", "cx-cz-fuse"]
+    assert list(registry()) == ["cx-stair", "cx-stair-rev", "cx-x-cx", "ccx-x-ccx",
+                                "cz-cx-fuse", "cx-cz-fuse"]
+
+
+@pytest.fixture
+def fresh_registry():
+    # The registry is rebuilt inside the test and again after it, so that
+    # no other test sees a rule this one built.
+    passes.registry.cache_clear()
+    yield
+    passes.registry.cache_clear()
+
+
+def test_registry_certifies_every_rule_on_first_use(fresh_registry, monkeypatch):
+    certified = []
+    certify = passes.RewriteRule.certify
+
+    def record(rule):
+        certified.append(rule.name)
+        certify(rule)
+
+    monkeypatch.setattr(passes.RewriteRule, "certify", record)
+    rules = rules_named(HIGS_RULE_NAMES)
+    assert sorted(certified) == ["ccx-x-ccx", "cx-cz-fuse", "cx-stair", "cx-stair-rev",
+                                 "cx-x-cx", "cz-cx-fuse"]
+    assert [r.name for r in rules] == list(HIGS_RULE_NAMES)
+    rules_named(HIGS_RULE_NAMES)
+    assert len(certified) == 6
+
+
+def test_registry_rule_that_fails_certification_raises_at_first_use(fresh_registry,
+                                                                    monkeypatch):
+    make = passes._rule
+
+    def wrong(name, wires, pattern, replacement):
+        if name == "cx-x-cx":
+            replacement = [x(0)]  # drops the X on the target
+        return make(name, wires, pattern, replacement)
+
+    monkeypatch.setattr(passes, "_rule", wrong)
+    with pytest.raises(CircuitError, match="'cx-x-cx' failed certification"):
+        rules_named(HIGS_RULE_NAMES)
 
 
 @pytest.mark.parametrize("mirror, rule", [("cx-stair-rev", "cx-stair"),
                                           ("cx-cz-fuse", "cz-cx-fuse")])
 def test_mirrored_rules_are_certified_inverses(mirror, rule):
-    derived, source = RULES[mirror], RULES[rule]
+    derived, source = registry()[mirror], registry()[rule]
     derived.certify()
     assert derived.pattern == inverse(source.pattern)
     assert derived.replacement == inverse(source.replacement)
@@ -187,7 +227,7 @@ def test_find_match_tries_every_binding_the_prefilter_keeps():
     # first, with pattern control 1 on wire 1, fails: the second CCX blocks
     # its X.  The second binding matches.
     gates = [ccx(0, 1, 2), x(0), ccx(0, 1, 2), x(1), ccx(0, 1, 2)]
-    rule = RULES["ccx-x-ccx"]
+    rule = registry()["ccx-x-ccx"]
     unswept = passes._Unswept(gates, [rule])
     assert [b[1] for b in unswept.bindings(rule.pattern.gates)] == [1, 0]
     want = ([0, 1, 2], {0: 1, 1: 0, 2: 2})
@@ -445,7 +485,7 @@ def test_prefilter_keeps_the_bindings_a_linear_scan_keeps(seed):
         gates = _planted_gates(rng, rng.randint(3, 6), rules)
         unswept = passes._Unswept(gates, rules)
         for start in range(len(gates)):
-            for rule in RULES.values():
+            for rule in registry().values():
                 pattern = rule.pattern.gates
                 want = _ref_bindings(gates[start:], pattern)
                 assert unswept.bindings(pattern) == want, (rule.name, start)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlco import sim
+from mlco import ir, sim
 from mlco.build import PdeParams, WingStyle, build_one_step
 from mlco.ir import (
     DIAGONAL_KINDS, ROTATION_KINDS, X_FAMILY_KINDS, Circuit, Gate, GateKind, ccx, cs,
@@ -361,6 +361,18 @@ def test_align_phase_removes_global_phase():
     u = sim.unitary_of(Circuit(2, (h(0), cx(0, 1))))
     rotated = np.exp(1j * 0.23) * u
     assert np.abs(sim.align_phase(rotated, u) - u).max() < 1e-12
+    assert sim.phase_deviation(rotated, u) < 1e-12
+    v = sim.unitary_of(Circuit(2, (h(0), cx(0, 1), rz(1, 1e-3))))
+    want = np.abs(sim.align_phase(v, u) - u).max()
+    assert sim.phase_deviation(v, u) == want and want > 1e-4
+
+
+def test_product_formula_is_the_step_unitary_to_the_power_steps():
+    params = PdeParams(n=4)
+    _, h1, h2, _ = sim.hamiltonian(params)
+    step = sim.expm_hermitian(h1, params.tau) @ sim.expm_hermitian(h2, params.tau)
+    assert np.abs(sim.product_formula(params) - step).max() < 1e-12
+    assert np.abs(sim.product_formula(params, 3) - step @ step @ step).max() < 1e-12
 
 
 def test_equivalent_up_to_phase_detects_difference():
@@ -388,6 +400,7 @@ def test_rccx_unitary_is_its_decomposition():
 
 
 def test_capacity_guard():
+    assert sim.CapacityError is ir.CapacityError  # the CLI catches it without sim
     big = Circuit(sim.UNITARY_QUBIT_CAP + 1, ())
     with pytest.raises(sim.CapacityError):
         sim.unitary_of(big)
