@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .ir import Circuit, Gate, cx, h, mcrz, rx, x
+from .ir import Circuit, CircuitError, Gate, cx, h, inverse, mcrz, rx, x
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ def build_wing(j: int, style: WingStyle, n: int) -> Circuit:
 
 def build_block(j: int, style: WingStyle, params: PdeParams) -> Circuit:
     """Evolution block j: left wing, j-controlled RZ backbone, right wing."""
-    from .ir import inverse  # local import keeps module load order simple
-
     wing = build_wing(j, style, params.n)
     top = params.n - 1
     backbone = mcrz(tuple(range(j)), top, params.theta_bb)
@@ -105,10 +103,11 @@ def compose_steps(step_circuits: list[Circuit]) -> Circuit:
     """Concatenate step circuits in time order; widths must agree."""
     if not step_circuits:
         raise ValueError("need at least one step circuit")
-    out = step_circuits[0]
-    for circ in step_circuits[1:]:
-        out = out.concat(circ)
-    return out
+    first = step_circuits[0]
+    width = (first.num_qubits, first.num_ancillas)
+    if any((c.num_qubits, c.num_ancillas) != width for c in step_circuits):
+        raise CircuitError("circuit widths differ")
+    return first.with_gates(g for c in step_circuits for g in c.gates)
 
 
 def step_orders(steps: int) -> list[H2Order]:

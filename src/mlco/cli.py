@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .build import H2Order, PdeParams, WingStyle, build_one_step, build_steps, compose_steps
+from .build import H2Order, PdeParams, WingStyle, build_one_step, compose_steps, step_orders
 from .ir import (
     MIGS, CapacityError, Circuit, CircuitError, census, conforms, format_census, naive_cx,
     read_circuit, write_circuit, write_qasm,
@@ -36,15 +36,10 @@ def _print_census(circ: Circuit) -> None:
 
 
 def cmd_build(args) -> int:
-    params = _params(args)
-    order = args.order
-    if order == "alt":
-        circ = build_steps(params, args.steps, WingStyle(args.wing))
-    else:
-        h2 = H2Order.INCREASING if order == "inc" else H2Order.DECREASING
-        steps = [build_one_step(params, WingStyle(args.wing), h2)
-                 for _ in range(args.steps)]
-        circ = compose_steps(steps)
+    params, wing = _params(args), WingStyle(args.wing)
+    orders = step_orders(args.steps) if args.order == "alt" \
+        else [H2Order(args.order)] * args.steps
+    circ = compose_steps([build_one_step(params, wing, o) for o in orders])
     Path(args.out).write_bytes(write_circuit(circ))
     _print_census(circ)
     return 0
@@ -155,16 +150,15 @@ def cmd_sweep(args) -> int:
 def cmd_table1(args) -> int:
     rows = report_mod.reproduce_table1()
     print(report_mod.format_table1(rows), end="")
-    ratio = report_mod.reduction_ratio(rows[-1].report.census)
+    ratio = report_mod.reduction_ratio(rows[-1].census)
     print(f"per-step CX reduction vs DETO reference "
           f"({report_mod.DETO_REFERENCE_PER_STEP}): {100 * ratio:.1f}%")
     return 0 if all(r.passed for r in rows) else 1
 
 
-def _add_params(p, with_steps=True):
+def _add_params(p):
     p.add_argument("--qubits", "-n", type=int, default=6)
-    if with_steps:
-        p.add_argument("--steps", "-k", type=int, default=1)
+    p.add_argument("--steps", "-k", type=int, default=1)
     p.add_argument("--tau", type=float, default=0.2)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--l", type=float, default=1.0)
@@ -179,7 +173,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="synthesize a source circuit")
     _add_params(b)
-    b.add_argument("--order", choices=["inc", "dec", "alt"], default=None)
+    b.add_argument("--order", choices=["inc", "dec", "alt"], default="alt")
     b.add_argument("--out", required=True)
     b.set_defaults(fn=cmd_build)
 
@@ -236,8 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "build":
         if args.qubits < 3 or args.steps < 1:
             ap.error("--qubits must be >= 3 and --steps >= 1")
-        if args.order is None:
-            args.order = "alt" if args.steps >= 2 else "inc"
     elif args.command == "verify" and args.steps < 1:
         ap.error("--steps must be >= 1")
     try:

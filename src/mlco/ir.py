@@ -291,11 +291,6 @@ class Circuit:
     def with_gates(self, gates) -> "Circuit":
         return replace(self, gates=tuple(gates))
 
-    def concat(self, other: "Circuit") -> "Circuit":
-        if (other.num_qubits, other.num_ancillas) != (self.num_qubits, self.num_ancillas):
-            raise CircuitError("circuit widths differ")
-        return self.with_gates(self.gates + other.gates)
-
 
 def inverse(circuit: Circuit) -> Circuit:
     """Reverse the gate order and invert each gate."""

@@ -23,8 +23,8 @@ from .build import (
 )
 from .ir import (
     HIGS, LOGS, MIGS, ROTATION_KINDS, Circuit, CircuitError, Gate, GateKind,
-    ccx, census, commutes, conforms, cs, csdg, cx, cz, gates_commute, h, inverse,
-    naive_cx, rccx, rccx_decomposition, rz, s, sdg, t as tg, tdg, x,
+    ccx, commutes, conforms, cs, csdg, cx, cz, gates_commute, h, inverse,
+    rccx, rccx_decomposition, rz, s, sdg, t as tg, tdg, x,
 )
 
 
@@ -724,18 +724,11 @@ def pipeline_mlco(params: PdeParams, steps: int,
     return final, stages + rest
 
 
-def pipeline_deto(params: PdeParams, steps: int, style: WingStyle,
-                  mode: str = "cost-model"):
-    """Decompose-then-optimize baseline.
+def pipeline_deto(params: PdeParams, steps: int,
+                  style: WingStyle) -> tuple[Circuit, list[Stage]]:
+    """Decompose-then-optimize baseline; returns the LoGS circuit and its stages.
 
-    cost-model: returns (None, predicted CX count), the naive-lowered CX of
-    the source steps.  executable: gray-code-decomposes every backbone
-    ancilla-free, optimizes, and returns (circuit, CX count); counts differ
-    from the cost model by design.
+    Every backbone is gray-code-decomposed ancilla-free, then the result is
+    cleaned up.  Its cost model is the source's `naive_cx`.
     """
-    if mode == "cost-model":
-        return None, steps * naive_cx(build_one_step(params, style))
-    if mode != "executable":
-        raise ValueError(f"unknown DETO mode {mode!r}")
-    optimized, _ = run_passes(build_steps(params, steps, style), DETO_PASSES)
-    return optimized, census(optimized)["CX"]
+    return run_passes(build_steps(params, steps, style), DETO_PASSES)

@@ -12,9 +12,9 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 
-from .build import PdeParams, WingStyle
+from .build import PdeParams, WingStyle, build_one_step
 from .ir import census, format_census, mcrz_cx_cost, naive_cx
-from .passes import Stage, gray_mcrz, pipeline_deto, pipeline_mlco
+from .passes import Stage, pipeline_deto, pipeline_mlco
 
 #: Reference stage censuses for the n=6 stair pipeline (entangling gates only).
 REFERENCE_ROWS: dict[str, dict[str, int]] = {
@@ -60,22 +60,18 @@ def deto_cost_model_cx(n: int) -> int:
     return 9 * n * n - 33 * n - 36
 
 
-@dataclass(frozen=True)
-class StageReport:
-    name: str
-    census: Counter[str]
-    naive_cx: int
-    seconds: float
+def deto_gray_code_cx(n: int) -> int:
+    """Closed form for the just-decomposed DETO CX count per step: 2^n - 2 + n(n - 1).
 
-    @classmethod
-    def from_stage(cls, stage: Stage) -> "StageReport":
-        return cls(stage.name, census(stage.circuit), naive_cx(stage.circuit),
-                   stage.seconds)
+    Block j costs 2^j gray-code CX for its C^jRZ backbone plus 2j wing CX.
+    """
+    return 2 ** n - 2 + n * (n - 1)
 
 
 @dataclass(frozen=True)
 class Table1Row:
-    report: StageReport
+    stage: Stage
+    census: Counter[str]
     expected: dict[str, int] | None
     passed: bool
 
@@ -85,15 +81,15 @@ def reproduce_table1() -> list[Table1Row]:
     _, stages = pipeline_mlco(PdeParams(n=6), 2, WingStyle.STAIR)
     rows = []
     for stage in stages:
-        report = StageReport.from_stage(stage)
+        counts = census(stage.circuit)
         expected = REFERENCE_ROWS.get(stage.name)
         if stage.name.endswith("LoGS target"):
-            passed = report.census["CX"] <= 78
+            passed = counts["CX"] <= 78
         elif expected is None:
             passed = True
         else:
-            passed = report.census == expected
-        rows.append(Table1Row(report, expected, passed))
+            passed = counts == expected
+        rows.append(Table1Row(stage, counts, expected, passed))
     return rows
 
 
@@ -101,9 +97,10 @@ def format_table1(rows: list[Table1Row]) -> str:
     out = io.StringIO()
     out.write(f"{'stage':28s} {'census':50s} {'L0:CX':>6s} {'ok':>4s}\n")
     for row in rows:
-        body = format_census(row.report.census)
+        body = format_census(row.census)
         mark = "pass" if row.passed else "FAIL"
-        out.write(f"{row.report.name:28s} {body:50s} {row.report.naive_cx:>6d} {mark:>4s}\n")
+        cx = naive_cx(row.stage.circuit)
+        out.write(f"{row.stage.name:28s} {body:50s} {cx:>6d} {mark:>4s}\n")
     return out.getvalue()
 
 
@@ -133,7 +130,9 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
     MLCO rows report the just-decomposed `steps`-step count against the
     linear laws: for stair, one two-step count per pair of steps plus one
     one-step count for an odd step; for spray, one spray count per step.
-    DETO rows report per-step counts against the quadratic cost model.  Raises ValueError on no sizes or on a size below
+    DETO rows report per-step counts: the cost model (one source step's
+    `naive_cx`) against its quadratic law, the executable baseline against
+    `deto_gray_code_cx`.  Raises ValueError on no sizes or on a size below
     `MIN_SWEEP_SIZE`, where the linear laws do not hold.
     """
     if not sizes:
@@ -155,7 +154,7 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
                          + (steps % 2) * mlco_one_step_cx(n))
         rows.append(SweepRow(n, "MLCO", steps, cx_jd, predicted,
                              cx_jd == predicted and cx_final <= cx_jd))
-        _, cm = pipeline_deto(params, 1, style)
+        cm = naive_cx(build_one_step(params, style))
         # Below n=8 the closed form fails; price each block j instead: 2j
         # wing CX plus one C^jRZ backbone.
         cm_predicted = deto_cost_model_cx(n) if n >= 8 else (
@@ -163,11 +162,8 @@ def scaling_sweep(sizes: list[int], steps: int = 2,
         rows.append(SweepRow(n, "DETO-cost-model", 1, cm, cm_predicted,
                              cm == cm_predicted))
         if executable and n <= EXECUTABLE_SWEEP_CAP:
-            _, cx_exec = pipeline_deto(params, 1, style, mode="executable")
-            exec_jd = (sum(len([g for g in gray_mcrz(tuple(range(k)), k, 1.0)
-                                if g.controls]) for k in range(1, n))
-                       + n * (n - 1))
-            ok = exec_jd // 2 <= cx_exec <= exec_jd
+            cx_exec = census(pipeline_deto(params, 1, style)[0])["CX"]
+            ok = deto_gray_code_cx(n) // 2 <= cx_exec <= deto_gray_code_cx(n)
             rows.append(SweepRow(n, "DETO-executable", 1, cx_exec, cm, ok))
     return rows
 

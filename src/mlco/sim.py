@@ -9,7 +9,7 @@ module where they consult the oracle: verification, and the certification
 of the rewrite rules when the first rewrite pass asks for them.  Building,
 counting, exporting and the DETO pipeline never load numpy.
 
-`gate_unitary` (through `unitary_of_kind`) builds each gate's dense matrix
+`gate_unitary` builds each gate's dense matrix from the `_TARGET` table
 and is the independent oracle.  No simulator multiplies by it.
 
 `apply` runs a block of states over the basis rows they occupy (`_Rows`):
@@ -56,8 +56,7 @@ import math
 import numpy as np
 
 from .ir import (
-    CONTROL_ARITY, DIAGONAL_KINDS, X_FAMILY_KINDS, CapacityError, Circuit, Gate, GateKind,
-    rccx_decomposition,
+    DIAGONAL_KINDS, X_FAMILY_KINDS, CapacityError, Circuit, Gate, GateKind, rccx_decomposition,
 )
 
 UNITARY_QUBIT_CAP = 12
@@ -105,21 +104,16 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-_BASE_1Q = {
-    GateKind.X: lambda a: _X, GateKind.H: lambda a: _H,
-    GateKind.Z: lambda a: _Z, GateKind.S: lambda a: _S,
-    GateKind.SDG: lambda a: _S.conj(), GateKind.T: lambda a: _T,
-    GateKind.TDG: lambda a: _T.conj(),
-    GateKind.RZ: lambda a: _rz(a), GateKind.RX: lambda a: _rx(a),
-}
-
-# Target unitary of each controlled kind (applied iff all controls are |1>).
-_CONTROLLED_TARGET = {
-    GateKind.CX: lambda a: _X, GateKind.CCX: lambda a: _X,
-    GateKind.CZ: lambda a: _Z, GateKind.CY: lambda a: _Y,
-    GateKind.CS: lambda a: _S, GateKind.CSDG: lambda a: _S.conj(),
-    GateKind.CRZ: lambda a: _rz(a), GateKind.CCRZ: lambda a: _rz(a),
-    GateKind.MCRZ: lambda a: _rz(a),
+# The 2x2 each kind applies to its target when every control is |1>.
+_TARGET = {
+    GateKind.X: lambda a: _X, GateKind.CX: lambda a: _X, GateKind.CCX: lambda a: _X,
+    GateKind.H: lambda a: _H, GateKind.CY: lambda a: _Y,
+    GateKind.Z: lambda a: _Z, GateKind.CZ: lambda a: _Z,
+    GateKind.S: lambda a: _S, GateKind.CS: lambda a: _S,
+    GateKind.SDG: lambda a: _S.conj(), GateKind.CSDG: lambda a: _S.conj(),
+    GateKind.T: lambda a: _T, GateKind.TDG: lambda a: _T.conj(),
+    GateKind.RZ: _rz, GateKind.CRZ: _rz, GateKind.CCRZ: _rz, GateKind.MCRZ: _rz,
+    GateKind.RX: _rx,
 }
 
 
@@ -129,35 +123,23 @@ def _rccx_unitary() -> np.ndarray:
     return unitary_of(Circuit(3, rccx_decomposition(2, 1, 0)))
 
 
-def unitary_of_kind(kind: GateKind, angle: float | None = None,
-                    num_controls: int | None = None) -> np.ndarray:
+def gate_unitary(gate: Gate) -> np.ndarray:
     """Exact unitary on the gate's support.
 
     Basis order puts the first control in the most significant bit and the
     target in the least significant one.
     """
-    if kind in _BASE_1Q:
-        return _BASE_1Q[kind](angle)
-    if kind is GateKind.RCCX:
-        return _rccx_unitary()
-    if num_controls is None:
-        num_controls = CONTROL_ARITY[kind]
-        if num_controls is None:
-            raise ValueError(f"{kind.value} needs an explicit control count")
-    dim = 2 ** (num_controls + 1)
+    if gate.kind is GateKind.RCCX:
+        return _rccx_unitary().copy()  # the cached array is shared
+    dim = 2 ** len(gate.qubits)
     mat = np.eye(dim, dtype=complex)
-    mat[dim - 2:, dim - 2:] = _CONTROLLED_TARGET[kind](angle)
+    mat[dim - 2:, dim - 2:] = _target_matrix(gate)
     return mat
-
-
-def gate_unitary(gate: Gate) -> np.ndarray:
-    return unitary_of_kind(gate.kind, gate.angle, len(gate.controls))
 
 
 def _target_matrix(gate: Gate) -> np.ndarray:
     """The 2x2 a gate applies to its target when every control is |1>."""
-    table = _BASE_1Q if gate.kind in _BASE_1Q else _CONTROLLED_TARGET
-    return table[gate.kind](gate.angle)
+    return _TARGET[gate.kind](gate.angle)
 
 
 _SQRT_HALF = math.sqrt(0.5)

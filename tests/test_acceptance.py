@@ -11,7 +11,7 @@ import numpy as np
 from mlco import sim
 from mlco.build import PdeParams, WingStyle, build_one_step, build_steps
 from mlco.ir import (
-    LOGS, Circuit, census, conforms, crz, ccrz, ccx, rccx, mcrz,
+    LOGS, Circuit, census, conforms, crz, ccrz, ccx, rccx, mcrz, naive_cx,
     rccx_decomposition,
 )
 from mlco.passes import (
@@ -32,11 +32,11 @@ def _stage_map(n=6, steps=2, style=WingStyle.STAIR):
 def test_1_reference_table_censuses_exact():
     start = time.perf_counter()
     rows = reproduce_table1()
-    by_name = {r.report.name: r for r in rows}
+    by_name = {r.stage.name: r for r in rows}
     for name, expected in REFERENCE_ROWS.items():
         if name == "2-step LoGS input":
             continue  # CX total checked in criterion 2
-        got = dict(by_name[name].report.census)
+        got = dict(by_name[name].census)
         assert got == expected, f"{name}: {got} != {expected}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -61,11 +61,9 @@ def test_3_scaling_formulas():
     for n in (6, 8, 12, 16, 20):
         stages = _stage_map(n=n)
         assert census(stages["2-step LoGS input"])["CX"] == mlco_two_step_cx(n), n
-    _, cost6 = pipeline_deto(PdeParams(n=6), 1, WingStyle.STAIR, mode="cost-model")
-    assert cost6 == 114
+    assert naive_cx(build_one_step(PdeParams(n=6), WingStyle.STAIR)) == 114
     for n in range(8, 65):
-        _, cost = pipeline_deto(PdeParams(n=n), 1, WingStyle.STAIR,
-                                mode="cost-model")
+        cost = naive_cx(build_one_step(PdeParams(n=n), WingStyle.STAIR))
         assert cost == deto_cost_model_cx(n), n
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -173,10 +171,9 @@ def test_8_reduction_headline_and_quadratic_baseline():
     assert reduction >= 0.61
     execs = {}
     for n in range(6, EXECUTABLE_SWEEP_CAP + 1, 2):
-        circ, cx_exec = pipeline_deto(PdeParams(n=n), 1, WingStyle.STAIR,
-                                      mode="executable")
+        circ, _ = pipeline_deto(PdeParams(n=n), 1, WingStyle.STAIR)
         assert conforms(circ, LOGS)
-        execs[n] = cx_exec
+        execs[n] = census(circ)["CX"]
     assert 57 <= execs[6] <= 114
     # Growth stays at least quadratic: CX per n^2 never shrinks with n.
     densities = [execs[n] / n ** 2 for n in sorted(execs)]

@@ -10,7 +10,7 @@ from mlco.build import (
     H2Order, PdeParams, WingStyle, build_block, build_one_step, build_steps,
     build_wing, compose_steps, step_orders,
 )
-from mlco.ir import GateKind
+from mlco.ir import Circuit, CircuitError, GateKind, cx
 
 
 def _basis(num_qubits: int, bits: int) -> np.ndarray:
@@ -96,6 +96,23 @@ def test_compose_steps_concatenates():
     assert both.gates == a.gates + b.gates
     with pytest.raises(ValueError):
         compose_steps([])
+
+
+def test_compose_steps_rejects_width_mismatch():
+    a = Circuit(3, (cx(0, 1),))
+    wider = Circuit(4, (cx(0, 1),))
+    with_ancilla = Circuit(3, (cx(0, 1),), num_ancillas=1)
+    for odd in (wider, with_ancilla):
+        with pytest.raises(CircuitError, match="circuit widths differ"):
+            compose_steps([a, odd, a])
+
+
+def test_compose_steps_many_steps_is_the_tuple_sum():
+    p = PdeParams(n=5)
+    steps = [build_one_step(p, WingStyle.STAIR, o) for o in step_orders(64)]
+    got = compose_steps(steps)
+    assert got.gates == sum((c.gates for c in steps), ())
+    assert (got.num_qubits, got.num_ancillas) == (5, 0)
 
 
 def test_params_validation():

@@ -10,7 +10,7 @@ import pytest
 
 import mlco
 from mlco import passes, report, sim
-from mlco.build import PdeParams, WingStyle
+from mlco.build import H2Order, PdeParams, WingStyle, build_one_step, compose_steps
 from mlco.cli import main
 from mlco.ir import (
     LOGS, Circuit, ccx, census, conforms, cy, h, mcrz, read_circuit, rx, rz,
@@ -40,6 +40,18 @@ def test_build_writes_circuit_and_census(tmp_path, capsys):
     circ = read_circuit(path.read_bytes())
     assert circ.num_qubits == 6
     assert "census:" in out and "CX:30" in out.replace(" ", "")
+
+
+def test_build_order_flag(tmp_path, capsys):
+    p = PdeParams(n=6)
+    dec, one = tmp_path / "dec.mlco", tmp_path / "one.mlco"
+    assert run(capsys, "build", "-n", "6", "-k", "2", "--order", "dec",
+               "--out", str(dec))[0] == 0
+    step = build_one_step(p, WingStyle.STAIR, H2Order.DECREASING)
+    assert read_circuit(dec.read_bytes()) == compose_steps([step, step])
+    assert run(capsys, "build", "-n", "6", "-k", "1", "--out", str(one))[0] == 0
+    assert read_circuit(one.read_bytes()) == build_one_step(p, WingStyle.STAIR,
+                                                            H2Order.INCREASING)
 
 
 def test_build_rejects_bad_sizes(tmp_path, capsys):
@@ -122,7 +134,7 @@ def test_optimize_deto_matches_pipeline_deto(built, tmp_path, capsys):
     code, _, _ = run(capsys, "optimize", "--strategy", "deto",
                      "--in", str(built), "--out", str(out_path), "--no-verify")
     assert code == 0
-    expected, _ = pipeline_deto(PdeParams(n=6), 2, WingStyle.STAIR, mode="executable")
+    expected, _ = pipeline_deto(PdeParams(n=6), 2, WingStyle.STAIR)
     assert read_circuit(out_path.read_bytes()) == expected
 
 

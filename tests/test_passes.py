@@ -694,16 +694,15 @@ def test_pipeline_end_to_end_equivalence_small():
         assert _equiv(ref, stage.circuit), stage.name
 
 
-def test_pipeline_deto_modes():
+def test_pipeline_deto_returns_stages():
     p = PdeParams(n=6)
-    none_circ, cost = pipeline_deto(p, 1, WingStyle.STAIR, mode="cost-model")
-    assert none_circ is None and cost == 114
-    circ, cx_count = pipeline_deto(p, 1, WingStyle.STAIR, mode="executable")
-    assert conforms(circ, LOGS)
-    assert census(circ)["CX"] == cx_count
-    assert _equiv(build_one_step(p, WingStyle.STAIR), circ)
-    with pytest.raises(ValueError):
-        pipeline_deto(p, 1, WingStyle.STAIR, mode="bogus")
+    circ, stages = pipeline_deto(p, 1, WingStyle.STAIR)
+    assert [s.name for s in stages] == ["LoGS input", "LoGS target"]
+    assert circ is stages[-1].circuit
+    source = build_one_step(p, WingStyle.STAIR)
+    for stage in stages:
+        assert conforms(stage.circuit, LOGS), stage.name
+        assert _equiv(source, stage.circuit), stage.name
 
 
 def test_pipeline_simplifies_each_distinct_step_once(monkeypatch):

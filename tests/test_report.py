@@ -3,11 +3,12 @@
 import pytest
 
 from mlco import report
-from mlco.build import WingStyle
-from mlco.ir import FIXED_CX_COST, GateKind
+from mlco.build import PdeParams, WingStyle
+from mlco.ir import FIXED_CX_COST, GateKind, census, naive_cx
+from mlco.passes import pipeline_deto
 from mlco.report import (
     DETO_REFERENCE_PER_STEP, REFERENCE_ROWS,
-    deto_cost_model_cx, format_sweep, format_table1, mlco_one_step_cx,
+    deto_cost_model_cx, deto_gray_code_cx, format_sweep, format_table1, mlco_one_step_cx,
     mlco_spray_step_cx, mlco_two_step_cx, reduction_ratio, reproduce_table1, scaling_sweep,
 )
 
@@ -18,24 +19,24 @@ def table1_rows():
 
 
 def test_every_reference_row_passes(table1_rows):
-    by_name = {r.report.name: r for r in table1_rows}
+    by_name = {r.stage.name: r for r in table1_rows}
     for name in REFERENCE_ROWS:
         assert by_name[name].passed, name
     assert by_name["2-step LoGS target"].passed
 
 
 def test_logs_target_cx_at_most_78(table1_rows):
-    target = next(r for r in table1_rows if r.report.name == "2-step LoGS target")
-    assert target.report.census["CX"] <= 78
+    target = next(r for r in table1_rows if r.stage.name == "2-step LoGS target")
+    assert target.census["CX"] <= 78
 
 
 def test_naive_lowering_examples(table1_rows):
     # Spot-check the naive-CX column: the MiGS-simplified one-step census
     # prices at 4*4 + 6*6 + 2 + 16 = 70; the DETO cost model at n=6 is 114.
-    row = next(r for r in table1_rows if r.report.name == "1-step MiGS simplified")
-    assert row.report.naive_cx == 70
-    replaced = next(r for r in table1_rows if r.report.name == "2-step MiGS replaced")
-    assert replaced.report.naive_cx == 78
+    row = next(r for r in table1_rows if r.stage.name == "1-step MiGS simplified")
+    assert naive_cx(row.stage.circuit) == 70
+    replaced = next(r for r in table1_rows if r.stage.name == "2-step MiGS replaced")
+    assert naive_cx(replaced.stage.circuit) == 78
 
 
 def test_format_table1_marks_rows(table1_rows):
@@ -75,10 +76,18 @@ def test_scaling_sweep_rows_match():
     assert deto6.cx_final == 114 and deto6.steps == 1
 
 
+@pytest.mark.parametrize("style", list(WingStyle))
+def test_deto_gray_code_law_matches_logs_input(style):
+    for n in range(4, 11):
+        _, stages = pipeline_deto(PdeParams(n=n), 1, style)
+        assert stages[0].name == "LoGS input"
+        assert census(stages[0].circuit)["CX"] == deto_gray_code_cx(n), n
+
+
 def test_scaling_sweep_checks_deto_cost_model_below_8(monkeypatch):
     # Below n=8 each block j is priced as 2j wing CX plus a C^jRZ; a wrong
     # DETO count there must fail its row.
-    monkeypatch.setattr(report, "pipeline_deto", lambda params, steps, style: (None, 115))
+    monkeypatch.setattr(report, "naive_cx", lambda circuit: 115)
     rows = scaling_sweep([6], steps=2, executable=False)
     deto6 = next(r for r in rows if r.strategy == "DETO-cost-model")
     assert deto6.cx_predicted == 114 and deto6.cx_final == 115
@@ -126,7 +135,7 @@ def test_format_sweep_header_and_shape():
 
 
 def test_reduction_ratio_at_least_61_percent(table1_rows):
-    target = next(r for r in table1_rows if r.report.name == "2-step LoGS target")
-    ratio = reduction_ratio(target.report.census)
+    target = next(r for r in table1_rows if r.stage.name == "2-step LoGS target")
+    ratio = reduction_ratio(target.census)
     assert ratio >= 0.61
     assert DETO_REFERENCE_PER_STEP == 102

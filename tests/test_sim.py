@@ -47,7 +47,7 @@ def _reference_unitary(circuit):
 
 
 def _fixed_controls(kind):
-    return sim.unitary_of_kind(kind, 0.3).shape[0].bit_length() - 2
+    return ir.CONTROL_ARITY[kind]
 
 
 def _random_gate(rng, kind, n):
@@ -397,6 +397,14 @@ def test_rccx_unitary_is_its_decomposition():
     u1 = sim.unitary_of(Circuit(3, (rccx(0, 1, 2),)))
     u2 = sim.unitary_of(Circuit(3, rccx_decomposition(0, 1, 2)))
     assert np.abs(u1 - u2).max() < 1e-12
+
+
+@pytest.mark.parametrize("gate", [rccx(0, 1, 2), x(0), cx(0, 1)], ids=lambda g: g.kind.value)
+def test_gate_unitary_returns_a_fresh_array(gate):
+    first = sim.gate_unitary(gate)
+    want = first.copy()
+    first[:] = 0
+    assert np.array_equal(sim.gate_unitary(gate), want)
 
 
 def test_capacity_guard():
