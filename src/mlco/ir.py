@@ -278,12 +278,6 @@ class Circuit:
                 q = next(q for q in g.qubits if q >= n)
                 raise CircuitError(f"gate {g.kind.value} touches qubit {q} >= num_qubits={n}")
 
-    def __len__(self):
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
-
     @property
     def num_data_qubits(self) -> int:
         return self.num_qubits - self.num_ancillas

@@ -482,10 +482,6 @@ def apply_rules(circuit: Circuit, rules: list[RewriteRule]) -> Circuit:
     raise FixpointCapError(f"apply_rules: no fixpoint after {cap} sweeps")
 
 
-def simplify(circuit: Circuit, rule_names) -> Circuit:
-    return apply_rules(circuit, rules_named(rule_names))
-
-
 # ---------------------------------------------------------------------------
 # Lowerings
 
@@ -529,14 +525,13 @@ def replace_ccx_with_rccx(circuit: Circuit) -> Circuit:
         raise ConformanceError("replace_ccx_with_rccx expects a MiGS circuit")
     gates = list(circuit.gates)
     paired: dict[int, tuple[str, int]] = {}
-    open_stack: dict[tuple, list[int]] = {}
+    open_left: dict[tuple, int] = {}  # support -> index of its unpaired CCX
     for idx, g in enumerate(gates):
         if g.kind is not GateKind.CCX:
             continue
         key = (g.controls, g.target)
-        stack = open_stack.setdefault(key, [])
-        if stack:
-            left = stack.pop()
+        left = open_left.pop(key, None)
+        if left is not None:
             # Put the CZ correction on the control whose (control, target)
             # pair already carries a CX inside the gap, so the leftover CZ
             # can fuse with it; otherwise the corrections meet and cancel.
@@ -549,7 +544,7 @@ def replace_ccx_with_rccx(circuit: Circuit) -> Circuit:
             paired[left] = ("left", c1)
             paired[idx] = ("right", c1)
         else:
-            stack.append(idx)
+            open_left[key] = idx
     out: list[Gate] = []
     for idx, g in enumerate(gates):
         if idx not in paired:
@@ -671,9 +666,9 @@ class Stage:
 # pass up in this module when it runs, so a pass replaced on the module is
 # the one that runs.
 MLCO_PASSES = (
-    ("HiGS simplified", lambda c: simplify(c, HIGS_RULE_NAMES)),
+    ("HiGS simplified", lambda c: apply_rules(c, rules_named(HIGS_RULE_NAMES))),
     ("MiGS input", lambda c: lower_vchain(c)),
-    ("MiGS simplified", lambda c: simplify(c, MIGS_RULE_NAMES)),
+    ("MiGS simplified", lambda c: apply_rules(c, rules_named(MIGS_RULE_NAMES))),
     ("MiGS replaced", lambda c: replace_ccx_with_rccx(c)),
     ("LoGS input", lambda c: lower_to_logs(c)),
     ("LoGS target", lambda c: optimize_logs(c)),

@@ -1,8 +1,9 @@
 """Ground-truth dense simulation: gate unitaries, statevectors, Hamiltonians.
 
 Everything the passes claim is checked against this module.  Capacity is
-deliberately desk-scale: full unitaries up to 12 qubits (column blocks up
-to as many amplitudes), statevectors up to 24.
+deliberately desk-scale, by one rule: no dense array holds more than
+2**STATEVECTOR_QUBIT_CAP = 2**24 amplitudes, so a full unitary reaches 12
+qubits and a statevector 24.
 
 This is the only mlco module that imports numpy.  The others import this
 module where they consult the oracle: verification, and the certification
@@ -50,7 +51,6 @@ block's columns), held to ANCILLA_LEAK_TOL everywhere.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -59,7 +59,6 @@ from .ir import (
     DIAGONAL_KINDS, X_FAMILY_KINDS, CapacityError, Circuit, Gate, GateKind, rccx_decomposition,
 )
 
-UNITARY_QUBIT_CAP = 12
 STATEVECTOR_QUBIT_CAP = 24
 
 FULL_UNITARY_MAX_QUBITS = 10  # see full_unitary_check
@@ -74,10 +73,6 @@ DROP_TOL = 1e-14  # apply drops a row whose amplitude is at most this in every c
 # The floor keeps DEFAULT_TRIALS states that fill all 2**13 rows in the kernel.
 ROW_BLOCK_FLOOR = 1 << 18
 MIX_CHUNK_AMPLITUDES = 1 << 12  # the row kernel mixes this many amplitudes at a time
-
-
-class AncillaLeakError(ValueError):
-    """A circuit left population outside the ancilla-zero subspace."""
 
 
 class NonHermitianError(ValueError):
@@ -117,12 +112,6 @@ _TARGET = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def _rccx_unitary() -> np.ndarray:
-    # Defined by the 3-CX decomposition; wires (c1, c2, t) = qubits (2, 1, 0).
-    return unitary_of(Circuit(3, rccx_decomposition(2, 1, 0)))
-
-
 def gate_unitary(gate: Gate) -> np.ndarray:
     """Exact unitary on the gate's support.
 
@@ -130,7 +119,8 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     target in the least significant one.
     """
     if gate.kind is GateKind.RCCX:
-        return _rccx_unitary().copy()  # the cached array is shared
+        # Defined by the 3-CX decomposition; wires (c1, c2, t) = qubits (2, 1, 0).
+        return unitary_of(Circuit(3, rccx_decomposition(2, 1, 0)))
     dim = 2 ** len(gate.qubits)
     mat = np.eye(dim, dtype=complex)
     mat[dim - 2:, dim - 2:] = _target_matrix(gate)
@@ -372,31 +362,30 @@ class _Rows:
         self.size = size
 
 
-def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """Apply the circuit to one state or a block of states on its low wires.
+def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the circuit to a block of states on its low wires.
 
-    `states` has shape (2**m,) or (2**m, B) with m <= num_qubits: one state
-    per column on wires 0..m-1, every higher wire starting in |0>.  Returns
+    `states` has shape (2**m, B) with m <= num_qubits: one state per column
+    on wires 0..m-1, every higher wire starting in |0>.  Returns
     `(out, outside)`.  `out` has the shape of `states` and holds the output
-    amplitudes with every wire >= m back in |0>.  `outside` (a float, or one
-    value per column) bounds the norm of everything else: the norm left on
-    the higher wires plus the norm of every row dropped on the way, which
-    also bounds the error of `out`.  The caller's array is left unchanged;
-    real input is accepted.
+    amplitudes with every wire >= m back in |0>.  `outside` (one value per
+    column) bounds the norm of everything else: the norm left on the higher
+    wires plus the norm of every row dropped on the way, which also bounds
+    the error of `out`.  The caller's array is left unchanged; real input is
+    accepted.
     """
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise CapacityError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
-    dim = states.shape[0] if states.ndim in (1, 2) else 0
+    dim = states.shape[0] if states.ndim == 2 else 0
     if dim < 1 or states.size == 0 or dim & (dim - 1) or dim > 2 ** n:
         raise ValueError("statevector dimension mismatch")
-    block = states.reshape(dim, -1)
-    columns = block.shape[1]
+    columns = states.shape[1]
     gates = _primitive_gates(circuit)
     capacity = min(2 ** n, max(2 ** n // 4, ROW_BLOCK_FLOOR) // columns)
-    idx, amp, dropped, stop = np.arange(dim), block, np.zeros(columns), 0
+    idx, amp, dropped, stop = np.arange(dim), states, np.zeros(columns), 0
     if dim <= capacity:
-        rows = _Rows(block, capacity)
+        rows = _Rows(states, capacity)
         stop = rows.run(gates)
         idx, amp, dropped = rows.idx[:rows.size], rows.amp[:rows.size], rows.dropped
         del rows  # frees the mixing scratch before a dense switch
@@ -421,10 +410,7 @@ def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray 
             out[:, j] = vec[:dim]
             rest = vec[dim:]
             left[j] = math.sqrt(np.vdot(rest, rest).real)
-    outside = left + dropped
-    if states.ndim == 1:
-        return out[:, 0], float(outside[0])
-    return out, outside
+    return out, left + dropped
 
 
 def unitary_of(circuit: Circuit, width: int | None = None) -> np.ndarray:
@@ -432,15 +418,15 @@ def unitary_of(circuit: Circuit, width: int | None = None) -> np.ndarray:
     `width` wires, every higher wire in |0> (default: every column).
 
     Returns shape (2**n, 2**width).  The 2**(n + width) amplitudes built are
-    capped at those of a full unitary on UNITARY_QUBIT_CAP wires.
+    capped at 2**STATEVECTOR_QUBIT_CAP.
     """
     n = circuit.num_qubits
     width = n if width is None else width
     if not 0 <= width <= n:
         raise ValueError(f"width {width} is not in 0..{n}")
-    if n + width > 2 * UNITARY_QUBIT_CAP:
-        raise CapacityError(f"{n} qubits at width {width} exceeds unitary cap "
-                            f"{UNITARY_QUBIT_CAP}")
+    if n + width > STATEVECTOR_QUBIT_CAP:
+        raise CapacityError(f"{n} qubits at width {width} exceeds 2**{STATEVECTOR_QUBIT_CAP} "
+                            f"amplitudes")
     u = np.eye(2 ** n, 2 ** width, dtype=complex)
     _run(u.reshape((2,) * n + (2 ** width,)), _primitive_gates(circuit), n,
          np.empty(u.size, dtype=complex))
@@ -610,23 +596,10 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, trials: int = DEFAULT_TRIALS,
     return ok and not np.any(fidelity < 1.0 - PHASE_TOL), worst
 
 
-def trotter_error(params, step_circuit: Circuit, steps: int = 1) -> float:
-    """Spectral-norm distance between the step circuit and exp(-i H steps tau).
-
-    Raises AncillaLeakError when the circuit leaves population outside the
-    ancilla-zero subspace.
-    """
-    u, leak = data_block(step_circuit, params.n)
-    if leak > ANCILLA_LEAK_TOL:
-        raise AncillaLeakError(
-            f"ancilla contract violated: population {leak:.3e} left outside |0..0>")
-    return evolution_error(params, u, steps)
-
-
 def evolution_error(params, u: np.ndarray, steps: int = 1) -> float:
     """Spectral-norm distance between a data-register unitary and exp(-i H steps tau)."""
     if params.n > 8:
-        raise CapacityError("trotter_error capped at 8 data qubits")
+        raise CapacityError("evolution_error capped at 8 data qubits")
     h, _, _, _ = hamiltonian(params)
     exact = expm_hermitian(h, steps * params.tau)
     return spectral_norm(align_phase(u, exact) - exact)

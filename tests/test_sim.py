@@ -65,9 +65,9 @@ def _min_wires(kind):
 
 def _apply_whole(circuit, state):
     """sim.apply on a state over every wire, which leaves nothing outside."""
-    out, outside = sim.apply(circuit, state)
-    assert outside <= 1e-12
-    return out
+    out, outside = sim.apply(circuit, state.reshape(-1, 1))
+    assert outside[0] <= 1e-12
+    return out[:, 0]
 
 
 def _assert_matches_reference(circuit, rng):
@@ -206,7 +206,7 @@ def test_apply_matches_unitary():
 
 def test_apply_rejects_a_block_of_the_wrong_size():
     c = Circuit(3, (h(0),))
-    for shape in ((6,), (16,), (8, 2, 2), (0, 3), (8, 0)):
+    for shape in ((8,), (6,), (16,), (8, 2, 2), (0, 3), (8, 0)):
         with pytest.raises(ValueError, match="dimension"):
             sim.apply(c, np.ones(shape))
 
@@ -243,8 +243,6 @@ def test_apply_block_on_low_wires_matches_reference_per_column():
     want, left = _reference_block(c, block)
     assert np.abs(out - want).max() < 1e-12
     assert np.abs(outside - left).max() < 1e-12 and np.all(left > 0.5)
-    one, one_outside = sim.apply(c, block[:, 0])
-    assert np.abs(one - want[:, 0]).max() < 1e-12 and abs(one_outside - left[0]) < 1e-12
 
 
 def test_dense_switch_matches_reference(monkeypatch):
@@ -409,13 +407,13 @@ def test_gate_unitary_returns_a_fresh_array(gate):
 
 def test_capacity_guard():
     assert sim.CapacityError is ir.CapacityError  # the CLI catches it without sim
-    big = Circuit(sim.UNITARY_QUBIT_CAP + 1, ())
+    big = Circuit(sim.STATEVECTOR_QUBIT_CAP // 2 + 1, ())
     with pytest.raises(sim.CapacityError):
         sim.unitary_of(big)
     # A block of columns is capped by the amplitudes it builds, not its wires.
     assert sim.unitary_of(big, 4).shape == (2 ** big.num_qubits, 16)
     with pytest.raises(sim.CapacityError):
-        sim.unitary_of(Circuit(20, ()), 2 * sim.UNITARY_QUBIT_CAP - 19)
+        sim.unitary_of(Circuit(20, ()), sim.STATEVECTOR_QUBIT_CAP - 19)
     with pytest.raises(ValueError, match="width"):
         sim.unitary_of(Circuit(3, ()), 4)
 
@@ -431,7 +429,8 @@ def test_trotter_error_second_order_in_tau():
     errs = []
     for tau in (0.2, 0.1):
         p = PdeParams(n=5, tau=tau)
-        errs.append(sim.trotter_error(p, build_one_step(p, WingStyle.SPRAY)))
+        errs.append(sim.evolution_error(
+            p, sim.data_block(build_one_step(p, WingStyle.SPRAY), p.n)[0]))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
