@@ -32,14 +32,15 @@ def _digest(circuit) -> str:
 
 def stage_digests() -> dict[str, list[str]]:
     """Per input, "<SHA-256 of the written circuit> <stage name>" for every stage."""
+    inputs = [(n, k) for n in (4, 6, 8) for k in (1, 2, 3)]
+    inputs += [(n, k) for n in (12, 16) for k in (2, 4)]
     pins = {}
     for style in ("stair", "spray"):
-        for n in (4, 6, 8):
-            for k in (1, 2, 3):
-                final, stages = pipeline_mlco(PdeParams(n=n), k, WingStyle(style))
-                assert final is stages[-1].circuit
-                pins[f"{style} n={n} k={k}"] = [f"{_digest(s.circuit)} {s.name}"
-                                                for s in stages]
+        for n, k in inputs:
+            final, stages = pipeline_mlco(PdeParams(n=n), k, WingStyle(style))
+            assert final is stages[-1].circuit
+            pins[f"{style} n={n} k={k}"] = [f"{_digest(s.circuit)} {s.name}"
+                                            for s in stages]
     return pins
 
 
