@@ -111,7 +111,7 @@ class Gate:
     `dataclasses.FrozenInstanceError`.  Equality and the hash are those of
     ``(kind, controls, target, angle)``.  Construction computes the hash,
     ``qubits`` (every touched wire, the controls first) and the wire masks
-    below once; `inverse` builds its gate on first use and keeps it.
+    below once.
 
     The masks have bit ``q`` set for wire ``q``.  ``wires`` holds every
     touched wire; the others hold the wires on which the gate plays one
@@ -127,7 +127,7 @@ class Gate:
     """
 
     __slots__ = ("kind", "controls", "target", "angle", "qubits", "wires",
-                 "d_wires", "z_wires", "c_wires", "x_wires", "_hash", "_inverse")
+                 "d_wires", "z_wires", "c_wires", "x_wires", "_hash")
 
     def __init__(self, kind: GateKind, controls: tuple[int, ...] = (),
                  target: int | None = None, angle: float | None = None):
@@ -178,7 +178,6 @@ class Gate:
             _set_c_wires(self, controls_mask if x_family else 0)
             _set_x_wires(self, target_bit if x_family or kind is GateKind.RX else 0)
         _set_hash(self, hash((kind, controls, target, angle)))
-        _set_inverse(self, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -214,28 +213,23 @@ class Gate:
 
         RCCX is its own inverse: its decomposition, reversed and inverted
         gate by gate, is itself.  A self-inverse gate returns itself; any
-        other keeps the gate it builds, which does not refer back to it.
+        other builds a new gate.
         """
-        inv = self._inverse
-        if inv is None:
-            kind = self.kind
-            if kind in _SELF_INVERSE:
-                return self
-            if kind in _INVERSE_KIND:
-                inv = Gate(_INVERSE_KIND[kind], self.controls, self.target)
-            elif kind in ROTATION_KINDS:
-                inv = Gate(kind, self.controls, self.target, -self.angle)
-            else:
-                raise CircuitError(f"no inverse for {kind.value}")
-            _set_inverse(self, inv)
-        return inv
+        kind = self.kind
+        if kind in _SELF_INVERSE:
+            return self
+        if kind in _INVERSE_KIND:
+            return Gate(_INVERSE_KIND[kind], self.controls, self.target)
+        if kind in ROTATION_KINDS:
+            return Gate(kind, self.controls, self.target, -self.angle)
+        raise CircuitError(f"no inverse for {kind.value}")
 
 
 # The slots' own setters: they skip `Gate.__setattr__`, which refuses every
 # assignment, and are faster than `object.__setattr__`.
 (_set_kind, _set_controls, _set_target, _set_angle, _set_qubits, _set_wires,
- _set_d_wires, _set_z_wires, _set_c_wires, _set_x_wires, _set_hash,
- _set_inverse) = (Gate.__dict__[name].__set__ for name in Gate.__slots__)
+ _set_d_wires, _set_z_wires, _set_c_wires, _set_x_wires,
+ _set_hash) = (Gate.__dict__[name].__set__ for name in Gate.__slots__)
 
 
 def rccx_decomposition(c1: int, c2: int, t: int) -> tuple[Gate, ...]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import itertools
 import math
 import time
@@ -367,43 +366,39 @@ class _Unswept:
         if p_idx == len(pattern):
             return keys, binding
         p, gates, last = pattern[p_idx], self.gates, keys[-1]
-        if gather == "left":
-            # Only a gate listed under `p`'s occurrence key can match it, and
-            # only skipped gates on its own wires can fail to commute with it.
-            # A rule pattern is wire-connected, so `binding` fixes a wire of `p`.
-            hits = self.occurrences.get(_occurrence_key(p, binding), ())
-            for j in reversed(hits[:bisect.bisect_left(hits, last)]):
-                g = gates[j]
-                candidates = _match_gate(p, g, binding)
-                if candidates and not all(
-                        commutes(g, gates[k]) for q in g.qubits
-                        for k in self.wires[q][bisect.bisect_right(self.wires[q], j):]
-                        if k not in keys):
-                    continue
-                for nb in candidates:
-                    found = self._extend(pattern, p_idx + 1, keys + [j], nb, gather)
-                    if found is not None:
-                        return found
-            return None
-        # A gate off the bound wires cannot match `p` and commutes with every
-        # matched gate, so the walk visits the bound wires only, in circuit
-        # order, and stops at the first gate there that does not commute.
-        matched = [gates[k] for k in keys]
-        runs = []
-        for w in binding.values():
-            # The keys on `w` below `last`, the earliest gate in the circuit first.
-            on = self.wires[w]
-            below = bisect.bisect_left(on, last)
-            runs.append(itertools.islice(reversed(on), len(on) - below, None))
-        # A gate on two bound wires comes twice in a row.
-        for j, _ in itertools.groupby(heapq.merge(*runs, reverse=True)):
+        # Only a gate listed under `p`'s occurrence key after the last match
+        # can match `p`.  A rule pattern is wire-connected, so `binding` fixes
+        # a wire of `p`.  Both gathers walk these candidates in circuit order
+        # and differ only in the rule for the gates a candidate skips.
+        hits = self.occurrences.get(_occurrence_key(p, binding), ())
+        hits = hits[:bisect.bisect_left(hits, last)]
+        stop = 0  # the key of the circuit's last gate: no stop before the end
+        if gather == "right" and hits:
+            # A skipped gate off the bound wires commutes with every matched
+            # gate, so the walk ends at the first gate on a bound wire that
+            # does not; that gate is still tried as a match.  Each wire is
+            # scanned from the last match up to the stop found so far.
+            matched = [gates[k] for k in keys]
+            for w in binding.values():
+                on = self.wires[w]
+                for k in reversed(on[bisect.bisect_right(on, stop):
+                                     bisect.bisect_left(on, last)]):
+                    if not all(commutes(gates[k], m) for m in matched):
+                        stop = k
+                        break
+        for j in reversed(hits[bisect.bisect_left(hits, stop):]):
             g = gates[j]
-            for nb in _match_gate(p, g, binding):
+            candidates = _match_gate(p, g, binding)
+            # A left gather checks the gates on `g`'s own wires that `g` skips.
+            if gather == "left" and candidates and not all(
+                    commutes(g, gates[k]) for q in g.qubits
+                    for k in self.wires[q][bisect.bisect_right(self.wires[q], j):]
+                    if k not in keys):
+                continue
+            for nb in candidates:
                 found = self._extend(pattern, p_idx + 1, keys + [j], nb, gather)
                 if found is not None:
                     return found
-            if not all(commutes(g, m) for m in matched):
-                return None
         return None
 
 
@@ -659,7 +654,7 @@ def optimize_logs(circuit: Circuit) -> Circuit:
 class Stage:
     name: str
     circuit: Circuit
-    seconds: float = 0.0
+    seconds: float
 
 
 # The passes in level order, as (stage name, pass).  Each entry looks its

@@ -3,7 +3,9 @@
 Everything the passes claim is checked against this module.  Capacity is
 deliberately desk-scale, by one rule: no dense array holds more than
 2**STATEVECTOR_QUBIT_CAP = 2**24 amplitudes, so a full unitary reaches 12
-qubits and a statevector 24.
+qubits and a statevector 24.  The physics targets, which build and
+diagonalize dense Hamiltonians, stop at FULL_UNITARY_MAX_QUBITS = 10 data
+qubits (`hamiltonian`).
 
 This is the only mlco module that imports numpy.  The others import this
 module where they consult the oracle: verification, and the certification
@@ -61,7 +63,7 @@ from .ir import (
 
 STATEVECTOR_QUBIT_CAP = 24
 
-FULL_UNITARY_MAX_QUBITS = 10  # see full_unitary_check
+FULL_UNITARY_MAX_QUBITS = 10  # see full_unitary_check and hamiltonian
 
 DEFAULT_TRIALS = 20
 PHASE_TOL = 1e-10
@@ -466,10 +468,14 @@ def hamiltonian(params) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.nda
 
     `params` needs attributes n (total qubits), c, l.  H1 is the single
     non-commuting term; H2 is the mutually-commuting rest; H = H1 + H2.
+    Refuses n > FULL_UNITARY_MAX_QUBITS before building any matrix.
     """
     n, c, l = params.n, params.c, params.l
     if n < 3:
         raise ValueError("n must be >= 3")
+    if n > FULL_UNITARY_MAX_QUBITS:
+        raise CapacityError(f"Hamiltonian of {n} qubits exceeds "
+                            f"FULL_UNITARY_MAX_QUBITS = {FULL_UNITARY_MAX_QUBITS}")
     m = n - 1
     scale = c / l
     h_terms = [_h_term(m, j) for j in range(1, m + 1)]
@@ -598,8 +604,6 @@ def equivalent_up_to_phase(a: Circuit, b: Circuit, trials: int = DEFAULT_TRIALS,
 
 def evolution_error(params, u: np.ndarray, steps: int = 1) -> float:
     """Spectral-norm distance between a data-register unitary and exp(-i H steps tau)."""
-    if params.n > 8:
-        raise CapacityError("evolution_error capped at 8 data qubits")
     h, _, _, _ = hamiltonian(params)
     exact = expm_hermitian(h, steps * params.tau)
     return spectral_norm(align_phase(u, exact) - exact)

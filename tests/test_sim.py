@@ -373,6 +373,27 @@ def test_product_formula_is_the_step_unitary_to_the_power_steps():
     assert np.abs(sim.product_formula(params, 3) - step @ step @ step).max() < 1e-12
 
 
+def test_physics_targets_stop_at_the_full_unitary_cap_before_building_a_matrix():
+    params = PdeParams(n=sim.FULL_UNITARY_MAX_QUBITS + 1)
+    # One 11-qubit Hamiltonian term alone is 2**22 complex entries (64 MB).
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.CapacityError, match="FULL_UNITARY_MAX_QUBITS"):
+            sim.product_formula(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_evolution_error_reaches_past_eight_data_qubits():
+    params = PdeParams(n=9)
+    h, _, _, _ = sim.hamiltonian(params)
+    exact = np.exp(0.4j) * sim.expm_hermitian(h, 2 * params.tau)
+    assert sim.evolution_error(params, exact, steps=2) < 1e-10
+    assert sim.evolution_error(params, sim.product_formula(params, 2), steps=2) > 1e-6
+
+
 def test_equivalent_up_to_phase_detects_difference():
     a = Circuit(2, (h(0), cx(0, 1)))
     b = Circuit(2, (h(0), cx(0, 1), rz(1, 1e-3)))
