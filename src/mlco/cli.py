@@ -106,6 +106,9 @@ def cmd_verify(args) -> int:
               f"{_checks_ran(a, b, args.trials)}")
         return 0 if ok else 1
     params = PdeParams(n=a.num_data_qubits, tau=args.tau, c=args.c, l=args.l)
+    # Both targets build the Hamiltonian: refuse a source too wide for it
+    # before simulating the circuit.
+    sim.check_hamiltonian_width(params.n)
     u, leak = sim.data_block(a, params.n)
     if leak > sim.ANCILLA_LEAK_TOL:
         print(f"ancilla leak: {leak:.3e}  FAIL")

@@ -17,12 +17,16 @@ and is the independent oracle.  No simulator multiplies by it.
 
 `apply` runs a block of states over the basis rows they occupy (`_Rows`):
 an array of basis indices and one row of amplitudes per index, one column
-per state.  X-type kinds only flip index bits, diagonal kinds scale rows,
-and the other kinds pair each row with its partner on the target bit,
-adding a missing partner at zero and dropping a row left at most
-`DROP_TOL` in every column; the dropped norm is reported, never lost.
-Wires above the block start in |0>, so a circuit whose ancillas return to
-|0> occupies few rows beyond the block's own.
+per state.  X-type kinds only flip index bits, and diagonal kinds only
+scale a pending phase per row, which the rows take in one multiply before
+the next mix, before a dense switch and at the end.  The other kinds mix
+each row with its partner on the target bit, found through a position table
+over the 2**n basis indices (int32, 4 * 2**n bytes, freed with the rows
+before a dense switch), adding a missing partner at zero and dropping a row
+left at most `DROP_TOL` in every column; column 0 is tested first, so the
+whole row is read only where that column is small.  The dropped norm is
+reported, never lost.  Wires above the block start in |0>, so a circuit
+whose ancillas return to |0> occupies few rows beyond the block's own.
 
 `unitary_of`, and `apply` once its rows would outgrow its amplitude budget
 (the dense switch), run in-place slice kernels (Häner & Steiger, SC 2017)
@@ -266,23 +270,29 @@ class _Rows:
     """A block of states held as the basis rows they occupy.
 
     `idx[:size]` are distinct basis indices and `amp[:size]` their
-    amplitudes, one column per state.  Both are allocated at `capacity` rows
-    once; `np.zeros` leaves the pages past the rows in use untouched.
-    `dropped` is the norm, per column, of every row dropped so far.
+    amplitudes, one column per state, each row still to be multiplied by
+    `phase[:size]`, where diagonal gates go.  The three are allocated at
+    `capacity` rows once; `np.zeros` leaves the pages past the rows in use
+    untouched.  `dropped` is the norm, per column, of every row dropped so
+    far.  `_where` maps each of the 2**n basis indices to its row + 1, or 0
+    if not held; it holds entries only while `_mix` pairs rows, so only the
+    pages of indices ever held are touched.
     """
 
-    def __init__(self, block: np.ndarray, capacity: int):
+    def __init__(self, block: np.ndarray, capacity: int, n: int):
         dim, columns = block.shape
         self.size = dim
         self.idx = np.zeros(capacity, dtype=np.int64)
         self.idx[:dim] = np.arange(dim)
         self.amp = np.zeros((capacity, columns), dtype=complex)
         self.amp[:dim] = block
+        self.phase = np.ones(capacity, dtype=complex)
+        self._phased = False
         self.dropped = np.zeros(columns)
+        self._where = np.zeros(2 ** n, dtype=np.int32)
         # Scratch for the mixing kernel, which works a chunk of rows at a time.
         self._chunk = max(1, MIX_CHUNK_AMPLITUDES // columns)
         self._scratch = np.empty((4, min(self._chunk, capacity), columns), dtype=complex)
-        self._magnitude = np.empty(self._scratch.shape[1:])
 
     def run(self, gates: list[Gate]) -> int:
         """Apply gates in order; return the index of the first gate not applied,
@@ -297,24 +307,32 @@ class _Rows:
                 continue
             u = _target_matrix(g)
             if u[0, 1] == 0 and u[1, 0] == 0:
-                scale = np.where(idx & bit, u[1, 1], u[0, 0])
-                if ctrl:
-                    scale[(idx & ctrl) != ctrl] = 1.0
-                self.amp[:self.size] *= scale[:, None]
-            elif not self._mix(np.arange(self.size)[sel], bit, u):
+                self.phase[:self.size][sel] *= np.where(idx[sel] & bit, u[1, 1], u[0, 0])
+                self._phased = True
+                continue
+            self._take_phase()
+            if not self._mix(np.arange(self.size)[sel], bit, u):
                 return i
+        self._take_phase()
         return len(gates)
+
+    def _take_phase(self) -> None:
+        """Multiply the pending phase into the rows' amplitudes."""
+        if self._phased:
+            self.amp[:self.size] *= self.phase[:self.size, None]
+            self.phase[:self.size] = 1.0
+            self._phased = False
 
     def _mix(self, sel: np.ndarray, bit: int, u: np.ndarray) -> bool:
         """Apply the 2x2 `u` to the rows `sel` paired on `bit`; False, with
         nothing changed, if the missing partners do not fit."""
         size = self.size
-        order = np.argsort(self.idx[:size])
-        held = self.idx[order]
-        want = self.idx[sel] ^ bit
-        at = np.minimum(np.searchsorted(held, want), size - 1)
-        missing = held[at] != want
-        partner = order[at]
+        idx = self.idx[:size]
+        self._where[idx] = np.arange(1, size + 1, dtype=np.int32)
+        want = idx[sel] ^ bit
+        partner = self._where[want] - 1
+        self._where[idx] = 0
+        missing = partner < 0
         new = want[missing]
         if size + len(new) > len(self.idx):
             return False
@@ -341,11 +359,14 @@ class _Rows:
             b += tmp
             self.amp[rows_lo] = out
             self.amp[rows_hi] = b
-            magnitude = self._magnitude[:len(rows_lo)]
+            # A row is dropped when it is at most DROP_TOL in every column;
+            # column 0 rules out most rows before the whole row is read.
             for rows, values in ((rows_lo, out), (rows_hi, b)):
-                np.abs(values, out=magnitude)
-                tiny.append(rows[magnitude.max(axis=1) <= DROP_TOL])
-        self._drop(np.concatenate(tiny))
+                small = np.flatnonzero(np.abs(values[:, 0]) <= DROP_TOL)
+                if len(small):
+                    tiny.append(rows[small[np.abs(values[small]).max(axis=1) <= DROP_TOL]])
+        if tiny:
+            self._drop(np.concatenate(tiny))
         return True
 
     def _drop(self, gone: np.ndarray) -> None:
@@ -387,10 +408,10 @@ def apply(circuit: Circuit, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     capacity = min(2 ** n, max(2 ** n // 4, ROW_BLOCK_FLOOR) // columns)
     idx, amp, dropped, stop = np.arange(dim), states, np.zeros(columns), 0
     if dim <= capacity:
-        rows = _Rows(states, capacity)
+        rows = _Rows(states, capacity, n)
         stop = rows.run(gates)
         idx, amp, dropped = rows.idx[:rows.size], rows.amp[:rows.size], rows.dropped
-        del rows  # frees the mixing scratch before a dense switch
+        del rows  # frees the position table and mixing scratch before a dense switch
     out = np.zeros((dim, columns), dtype=complex)
     if stop == len(gates):
         inside = idx < dim
@@ -463,6 +484,13 @@ def _h_term(m: int, j: int) -> np.ndarray:
     return term + term.T.conj()
 
 
+def check_hamiltonian_width(n: int) -> None:
+    """Raise CapacityError if an n-qubit Hamiltonian exceeds FULL_UNITARY_MAX_QUBITS."""
+    if n > FULL_UNITARY_MAX_QUBITS:
+        raise CapacityError(f"Hamiltonian of {n} qubits exceeds "
+                            f"FULL_UNITARY_MAX_QUBITS = {FULL_UNITARY_MAX_QUBITS}")
+
+
 def hamiltonian(params) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """(H, H1, H2, [h_1..h_{n-1}]) for an n-qubit source circuit.
 
@@ -473,9 +501,7 @@ def hamiltonian(params) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.nda
     n, c, l = params.n, params.c, params.l
     if n < 3:
         raise ValueError("n must be >= 3")
-    if n > FULL_UNITARY_MAX_QUBITS:
-        raise CapacityError(f"Hamiltonian of {n} qubits exceeds "
-                            f"FULL_UNITARY_MAX_QUBITS = {FULL_UNITARY_MAX_QUBITS}")
+    check_hamiltonian_width(n)
     m = n - 1
     scale = c / l
     h_terms = [_h_term(m, j) for j in range(1, m + 1)]

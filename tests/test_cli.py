@@ -362,6 +362,21 @@ def test_verify_against_product_formula_beyond_the_full_unitary_cap(tmp_path, ca
 
 
 @pytest.mark.parametrize("against", ["product-formula", "exact-evolution"])
+def test_verify_physics_refuses_a_wide_source_before_simulating_it(tmp_path, capsys,
+                                                                  monkeypatch, against):
+    src = tmp_path / "src.mlco"
+    n = sim.FULL_UNITARY_MAX_QUBITS + 1
+    assert run(capsys, "build", "-n", str(n), "-k", "2", "--out", str(src))[0] == 0
+
+    def simulated(*args):
+        raise AssertionError("the source was simulated")
+
+    monkeypatch.setattr(sim, "data_block", simulated)
+    code, _, err = run(capsys, "verify", "--a", str(src), "--against", against)
+    assert code == 2 and "FULL_UNITARY_MAX_QUBITS" in err
+
+
+@pytest.mark.parametrize("against", ["product-formula", "exact-evolution"])
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_verify_rejects_step_counts_below_one(built, capsys, against, steps):
     with pytest.raises(SystemExit) as e:

@@ -264,6 +264,64 @@ def test_dense_switch_matches_reference(monkeypatch):
     assert np.abs(outside - left).max() < 1e-12
 
 
+def test_pending_phase_is_taken_at_the_dense_switch_and_at_the_end(monkeypatch):
+    # With no floor, 4 columns on 8 wires get 16 rows, which the block fills.
+    # The diagonal gates only set the rows' pending phase: in `switched` the
+    # mix that overflows (H on an ancilla) comes right after them, so the
+    # dense run must start from rows that took it; `kept` stays in the row
+    # kernel and ends on them.
+    monkeypatch.setattr(sim, "ROW_BLOCK_FLOOR", 0)
+    runs = []
+    dense_run = sim._run
+    monkeypatch.setattr(sim, "_run", lambda *args: runs.append(1) or dense_run(*args))
+    block = _random_block(np.random.default_rng(24), 16, 4)
+    mixes = (h(0), h(2), cx(1, 3), Gate(GateKind.RX, (), 1, 0.3))
+    diagonal = (s(1), rz(2, 0.9), cz(0, 3))
+    switched = Circuit(8, mixes + diagonal + (h(5), cx(5, 6), h(5), rz(6, -0.4)),
+                       num_ancillas=4)
+    kept = Circuit(8, mixes + diagonal, num_ancillas=4)
+    for c, dense_runs in ((switched, 4), (kept, 0)):
+        runs.clear()
+        out, outside = sim.apply(c, block)
+        assert len(runs) == dense_runs
+        want, left = _reference_block(c, block)
+        assert np.abs(out - want).max() < 1e-12
+        assert np.abs(outside - left).max() < 1e-12
+
+
+def test_row_pairing_on_scattered_indices_of_eighteen_wires(monkeypatch):
+    # The block sits on wires 0..2 and every mix targets a wire above it.
+    # The first CY adds a partner for half the rows; the second finds some
+    # partners held and some missing.  After X(14) no index is one the first
+    # mixes held, and H(14) pairs each row with such an index, which must
+    # read as missing.
+    monkeypatch.setattr(sim, "_run", None)  # the whole run stays in the row kernel
+    n = 18
+    c = Circuit(n, (Gate(GateKind.CY, (0,), 16), x(14), Gate(GateKind.CY, (1,), 16), h(14),
+                    cx(0, 12), Gate(GateKind.RX, (), 17, 0.7), rccx(16, 1, 15),
+                    Gate(GateKind.CY, (17,), 13), cx(12, 9), h(12), ccx(9, 2, 10),
+                    Gate(GateKind.CY, (10,), 0), Gate(GateKind.RX, (), 9, -1.1),
+                    rz(13, 0.5), h(16)),
+                num_ancillas=n - 3)
+    block = _random_block(np.random.default_rng(25), 8, 3)
+    out, outside = sim.apply(c, block)
+    want, left = _reference_block(c, block)
+    assert np.abs(out - want).max() < 1e-12
+    assert np.abs(outside - left).max() < 1e-12 and np.all(left > 0.5)
+
+
+def test_a_row_is_dropped_only_when_small_in_every_column():
+    # H(0) leaves column 0 exactly zero on three of the four rows, where the
+    # other columns are not: the rows stay, and nothing counts as outside.
+    plus = np.array([1, 1, 0, 0]) / np.sqrt(2)
+    block = np.column_stack((plus, plus, _random_block(np.random.default_rng(26), 4, 1)[:, 0]))
+    c = Circuit(3, (h(0), Gate(GateKind.RX, (), 2, 0.2), h(0)), num_ancillas=1)
+    out, outside = sim.apply(c, block)
+    want, left = _reference_block(c, block)
+    assert np.abs(out - want).max() < 1e-12
+    assert np.abs(outside - left).max() < 1e-12
+
+
 def test_dropped_rows_bound_the_error():
     # RX(1e-15) on the ancilla leaves rows of amplitude about 5e-16, which
     # are dropped; CX then moves what is left and the second RX makes more.
