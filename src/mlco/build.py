@@ -10,6 +10,7 @@ CXs from the top wire) and stair (a CX chain climbing the register).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .ir import Circuit, CircuitError, Gate, cx, h, inverse, mcrz, rx, x
@@ -27,8 +28,9 @@ class PdeParams:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("n must be >= 3")
-        if min(self.tau, self.c, self.l) <= 0:
-            raise ValueError("tau, c, l must be positive")
+        # Every comparison with NaN is False, so finiteness is tested first.
+        if not all(math.isfinite(v) and v > 0 for v in (self.tau, self.c, self.l)):
+            raise ValueError("tau, c, l must be finite and positive")
 
     @property
     def theta_bb(self) -> float:

@@ -10,6 +10,7 @@ deto --no-verify` run without numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -227,8 +228,14 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first `main` call."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = make_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.command == "build":
         if args.qubits < 3 or args.steps < 1:

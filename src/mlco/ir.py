@@ -365,20 +365,35 @@ commutes = functools.lru_cache(maxsize=1 << 20)(gates_commute)
 # Serialization
 
 def write_circuit(circuit: Circuit) -> bytes:
-    """Canonical JSON document; round-trips through read_circuit."""
-    doc = {
-        "num_qubits": circuit.num_qubits,
-        "num_ancillas": circuit.num_ancillas,
-        "gates": [_gate_record(g) for g in circuit.gates],
-    }
-    return (json.dumps(doc, indent=1) + "\n").encode()
+    """Canonical JSON document; round-trips through read_circuit.
+
+    The text is exactly ``json.dumps(doc, indent=1) + "\n"`` for ``doc =
+    {"num_qubits": ..., "num_ancillas": ..., "gates": [record, ...]}``, each
+    record ``{"kind", "controls", "target"[, "angle"]}``, built directly
+    rather than through json's pure-Python indenting encoder.  A gate whose
+    angle is not a finite number raises `CircuitError`: read_circuit would
+    refuse the document.
+    """
+    records = []
+    for i, g in enumerate(circuit.gates):
+        c = g.controls
+        controls = "[\n    " + ",\n    ".join(map(str, c)) + "\n   ]" if c else "[]"
+        angle = "" if g.angle is None else ',\n   "angle": ' + _angle_text(i, g.angle)
+        # `_value_` is the member's value without the `value` property's lookup.
+        records.append(f'  {{\n   "kind": "{g.kind._value_}",\n   "controls": {controls},'
+                       f'\n   "target": {g.target}{angle}\n  }}')
+    gates = "[\n" + ",\n".join(records) + "\n ]" if records else "[]"
+    return (f'{{\n "num_qubits": {circuit.num_qubits},\n "num_ancillas": '
+            f'{circuit.num_ancillas},\n "gates": {gates}\n}}\n').encode()
 
 
-def _gate_record(g: Gate) -> dict:
-    rec: dict = {"kind": g.kind.value, "controls": list(g.controls), "target": g.target}
-    if g.angle is not None:
-        rec["angle"] = g.angle
-    return rec
+def _angle_text(i: int, angle) -> str:
+    """The angle as json writes it: a finite float or an int through repr."""
+    if isinstance(angle, float) and math.isfinite(angle):
+        return float.__repr__(angle)
+    if isinstance(angle, int) and not isinstance(angle, bool):
+        return int.__repr__(angle)
+    raise CircuitError(f"gate {i}: angle must be a finite number, got {angle!r}")
 
 
 _KIND_BY_NAME = {k.value: k for k in GateKind}
@@ -388,33 +403,46 @@ def _is_qubit(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_gate(i: int, rec, num_qubits: int) -> Gate:
+def _parse_gate(i: int, rec, num_qubits: int, built: dict) -> Gate:
+    """Validate record `i` and return its gate, taken from `built` when an
+    earlier record of the same document had the same values."""
     if not isinstance(rec, dict):
         raise ParseError(f"gate {i}: record must be an object")
     name = rec.get("kind")
     if not isinstance(name, str) or name not in _KIND_BY_NAME:
         raise UnsupportedGateError(f"gate {i}: unknown kind {name!r}")
     controls, target, angle = rec.get("controls", []), rec.get("target"), rec.get("angle")
-    if not (isinstance(controls, list) and all(_is_qubit(q) for q in controls)):
+    if not (isinstance(controls, list) and all(map(_is_qubit, controls))):
         raise ParseError(f"gate {i}: controls must be a list of integer qubit indices")
     if target is not None and not _is_qubit(target):
         raise ParseError(f"gate {i}: target must be an integer qubit index")
     if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))
                               or not math.isfinite(angle)):
         raise ParseError(f"gate {i}: angle must be a finite number, got {angle!r}")
+    # Validated, so no qubit in the key is a bool; the angle keys by its
+    # repr, which tells 1 from 1.0 and 0.0 from -0.0.  A shared gate thus has
+    # exactly the fields its own parse would give.
+    key = (name, tuple(controls), target, None if angle is None else repr(angle))
+    gate = built.get(key)
+    if gate is not None:
+        return gate
     # Before the gate exists: its wire masks take memory in proportion to
     # its highest wire.
     for q in (*controls, target) if target is not None else controls:
         if q >= num_qubits:
             raise ParseError(f"gate {i}: {name} touches qubit {q} >= num_qubits={num_qubits}")
     try:
-        return Gate(_KIND_BY_NAME[name], tuple(controls), target, angle)
+        gate = built[key] = Gate(_KIND_BY_NAME[name], tuple(controls), target, angle)
     except CircuitError as exc:
         raise ParseError(f"gate {i}: {exc}") from exc
+    return gate
 
 
 def read_circuit(data: bytes | str) -> Circuit:
-    """Parse a circuit document produced by write_circuit."""
+    """Parse a circuit document produced by write_circuit.
+
+    Records with equal values share one `Gate`, built at the first of them.
+    """
     text = data.decode() if isinstance(data, bytes) else data
     try:
         doc = json.loads(text)
@@ -436,7 +464,8 @@ def read_circuit(data: bytes | str) -> Circuit:
         header = Circuit(num_qubits, (), num_ancillas)
     except CircuitError as exc:
         raise ParseError(str(exc)) from exc
-    gates = [_parse_gate(i, rec, num_qubits) for i, rec in enumerate(records)]
+    built: dict = {}
+    gates = [_parse_gate(i, rec, num_qubits, built) for i, rec in enumerate(records)]
     return header.with_gates(gates)
 
 

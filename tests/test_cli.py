@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mlco
-from mlco import passes, report, sim
+from mlco import cli, passes, report, sim
 from mlco.build import H2Order, PdeParams, WingStyle, build_one_step, compose_steps
 from mlco.cli import main, make_parser
 from mlco.ir import (
@@ -58,6 +58,16 @@ def test_build_rejects_bad_sizes(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         run(capsys, "build", "-n", "2", "--out", str(tmp_path / "x"))
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--tau", "nan"), ("--c", "inf"), ("--l", "nan")])
+def test_build_rejects_non_finite_parameters_and_writes_nothing(tmp_path, capsys,
+                                                                flag, value):
+    out = tmp_path / "bad.mlco"
+    code, _, err = run(capsys, "build", "-n", "6", flag, value, "--out", str(out))
+    assert code == 2
+    assert "finite and positive" in err
+    assert not out.exists()
 
 
 def test_build_is_deterministic(tmp_path, capsys):
@@ -441,6 +451,36 @@ def test_table1_runs_pipeline_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "table1")
     assert code == 0 and "reduction" in out
     assert len(calls) == 1
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)`, a usage error included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_as_fresh_parsers_do(built, tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "built.mlco"
+    commands = [["count"],  # usage error: --in is required
+                ["count", "--in", str(built)],
+                ["verify", "--a", str(built), "--b", str(built)],
+                ["build", "-n", "5", "--out", str(out)]]
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    shared_file = out.read_bytes()
+    # A fresh parser for every call, as before the cache.
+    monkeypatch.setattr(cli, "_parser", make_parser)
+    fresh = [_outcome(capsys, argv) for argv in commands]
+    assert shared == fresh
+    assert out.read_bytes() == shared_file
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert "the following arguments are required: --in" in shared[0][2]
 
 
 def test_missing_file_is_usage_error(capsys):

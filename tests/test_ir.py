@@ -3,6 +3,7 @@
 import copy
 import gc
 import itertools
+import json
 import math
 import pickle
 from collections import Counter
@@ -475,6 +476,115 @@ def test_read_reports_position_on_malformed_document():
     with pytest.raises(ParseError) as exc:
         read_circuit(b'{"num_qubits": 2,,}')
     assert "line" in str(exc.value) or "col" in str(exc.value)
+
+
+def _json_reference(circ):
+    """The document as json's own indenting encoder writes it."""
+    records = []
+    for g in circ.gates:
+        rec = {"kind": g.kind.value, "controls": list(g.controls), "target": g.target}
+        if g.angle is not None:
+            rec["angle"] = g.angle
+        records.append(rec)
+    doc = {"num_qubits": circ.num_qubits, "num_ancillas": circ.num_ancillas,
+           "gates": records}
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
+@st.composite
+def _circuit_of_any_gates(draw):
+    """A circuit of gates of every kind, ancillas included, with angles that
+    are floats of either sign, ints and subnormals."""
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        g = draw(_any_gate())
+        if g.angle is not None:
+            angle = draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(-10**20, 10**20)))
+            g = Gate(g.kind, g.controls, g.target, angle)
+        gates.append(g)
+    return Circuit(5, tuple(gates), draw(st.integers(0, 4)))
+
+
+# An empty circuit, an MCRZ with five controls, an int angle, a negative
+# zero, the smallest subnormal, a large and a negative angle.
+_WRITER_EDGE_CASES = [
+    Circuit(1),
+    Circuit(7, (mcrz((0, 1, 2, 3, 4), 6, 0.25), x(5)), 1),
+    Circuit(2, (rz(0, 1), crz(0, 1, 3))),
+    Circuit(1, (rz(0, -0.0),)),
+    Circuit(2, (crz(1, 0, 5e-324),)),
+    Circuit(3, (ccrz(0, 2, 1, 1e300),)),
+    Circuit(1, (rz(0, -1.25),)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuit_of_any_gates())
+def test_writer_emits_the_json_encoders_bytes(circ):
+    assert write_circuit(circ) == _json_reference(circ)
+
+
+@pytest.mark.parametrize("circ", _WRITER_EDGE_CASES)
+def test_writer_emits_the_json_encoders_bytes_on_edge_cases(circ):
+    assert write_circuit(circ) == _json_reference(circ)
+    assert read_circuit(write_circuit(circ)) == circ
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda circ: write_circuit(circ)[:-1],
+    lambda circ: write_circuit(circ).replace(b"-0.0", b"0.0"),
+], ids=["no-trailing-newline", "negative-zero-unsigned"])
+def test_writer_identity_check_catches_a_wrong_writer(mutant):
+    assert any(mutant(circ) != _json_reference(circ) for circ in _WRITER_EDGE_CASES)
+
+
+@pytest.mark.parametrize("gate, text", [
+    (rz(0, float("nan")), "nan"), (crz(0, 1, float("inf")), "inf")])
+def test_writer_refuses_a_non_finite_angle_by_position(gate, text):
+    with pytest.raises(CircuitError, match=rf"^gate 1: angle must be a finite number, got {text}$"):
+        write_circuit(Circuit(2, (x(0), gate)))
+
+
+def test_read_shares_one_gate_among_equal_records():
+    circ = Circuit(2, (cx(0, 1), rz(0, 0.5), cx(0, 1), h(1), rz(0, 0.5), cx(0, 1)))
+    gates = read_circuit(write_circuit(circ)).gates
+    assert gates == circ.gates
+    assert gates[0] is gates[2] is gates[5] and gates[1] is gates[4]
+    assert gates[0] is not gates[3]
+
+
+def test_read_keeps_angle_type_and_sign_of_each_record():
+    data = write_circuit(Circuit(1, (rz(0, 1), rz(0, 1.0), rz(0, 0.0), rz(0, -0.0),
+                                     rz(0, 1), rz(0, -0.0))))
+    gates = read_circuit(data).gates
+    assert [repr(g.angle) for g in gates] == ["1", "1.0", "0.0", "-0.0", "1", "-0.0"]
+    assert write_circuit(read_circuit(data)) == data
+
+
+_GOOD_RECORDS = ('{"kind": "CRZ", "controls": [1], "target": 0, "angle": 0.5}, '
+                 '{"kind": "CRZ", "controls": [0], "target": 1, "angle": 0.5}')
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"kind": "CRZ", "controls": [true], "target": 0, "angle": 0.5}', "controls must be"),
+    ('{"kind": "CRZ", "controls": [1.0], "target": 0, "angle": 0.5}', "controls must be"),
+    ('{"kind": "CRZ", "controls": [0], "target": true, "angle": 0.5}', "target must be"),
+    ('{"kind": "CRZ", "controls": [0], "target": 1.0, "angle": 0.5}', "target must be"),
+    ('{"kind": "CRZ", "controls": [1], "target": 0, "angle": NaN}', "angle must be"),
+    ('{"kind": "CRZ", "controls": [1], "target": 0, "angle": true}', "angle must be"),
+    ('{"kind": "CRZ", "controls": [1], "target": 2, "angle": 0.5}', "touches qubit 2"),
+    ('{"kind": "CRZ", "controls": [1], "target": 1, "angle": 0.5}', "duplicate qubit"),
+    ('{"kind": "CRZ", "controls": [1], "target": 0}', "requires an angle"),
+    ('{"kind": "CCRZ", "controls": [1], "target": 0, "angle": 0.5}', "requires 2 controls"),
+], ids=["control-true", "control-float", "target-true", "target-float", "angle-nan",
+        "angle-true", "target-out-of-range", "target-is-control", "no-angle", "kind"])
+def test_read_refuses_a_bad_record_that_repeats_a_good_one_but_one_field(bad, message):
+    # Records 0 and 1 are valid; record 2 differs from one of them in one field.
+    doc = ('{"num_qubits": 2, "num_ancillas": 0, "gates": ['
+           f'{_GOOD_RECORDS}, {bad}, {_GOOD_RECORDS}]}}')
+    with pytest.raises(ParseError, match=rf"^gate 2: .*{message}"):
+        read_circuit(doc)
 
 
 # ---------------------------------------------------------------------------
