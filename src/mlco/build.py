@@ -31,6 +31,8 @@ class PdeParams:
         # Every comparison with NaN is False, so finiteness is tested first.
         if not all(math.isfinite(v) and v > 0 for v in (self.tau, self.c, self.l)):
             raise ValueError("tau, c, l must be finite and positive")
+        if not math.isfinite(self.theta_bb):
+            raise ValueError(f"backbone angle 2*c*tau/l = {self.theta_bb} is not finite")
 
     @property
     def theta_bb(self) -> float:

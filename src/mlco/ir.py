@@ -371,8 +371,8 @@ def write_circuit(circuit: Circuit) -> bytes:
     {"num_qubits": ..., "num_ancillas": ..., "gates": [record, ...]}``, each
     record ``{"kind", "controls", "target"[, "angle"]}``, built directly
     rather than through json's pure-Python indenting encoder.  A gate whose
-    angle is not a finite number raises `CircuitError`: read_circuit would
-    refuse the document.
+    angle is not a finite number, or an int too large for a float, raises
+    `CircuitError`: read_circuit would refuse the document.
     """
     records = []
     for i, g in enumerate(circuit.gates):
@@ -387,11 +387,22 @@ def write_circuit(circuit: Circuit) -> bytes:
             f'{circuit.num_ancillas},\n "gates": {gates}\n}}\n').encode()
 
 
+def _finite_angle(angle) -> bool:
+    """Whether `angle` is a finite float or an int (not a bool) that a float
+    can hold: what the reader accepts and the writer writes."""
+    if isinstance(angle, bool) or not isinstance(angle, (int, float)):
+        return False
+    try:
+        return math.isfinite(angle)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _angle_text(i: int, angle) -> str:
     """The angle as json writes it: a finite float or an int through repr."""
     if isinstance(angle, float) and math.isfinite(angle):
         return float.__repr__(angle)
-    if isinstance(angle, int) and not isinstance(angle, bool):
+    if isinstance(angle, int) and _finite_angle(angle):
         return int.__repr__(angle)
     raise CircuitError(f"gate {i}: angle must be a finite number, got {angle!r}")
 
@@ -416,8 +427,7 @@ def _parse_gate(i: int, rec, num_qubits: int, built: dict) -> Gate:
         raise ParseError(f"gate {i}: controls must be a list of integer qubit indices")
     if target is not None and not _is_qubit(target):
         raise ParseError(f"gate {i}: target must be an integer qubit index")
-    if angle is not None and (isinstance(angle, bool) or not isinstance(angle, (int, float))
-                              or not math.isfinite(angle)):
+    if angle is not None and not _finite_angle(angle):
         raise ParseError(f"gate {i}: angle must be a finite number, got {angle!r}")
     # Validated, so no qubit in the key is a bool; the angle keys by its
     # repr, which tells 1 from 1.0 and 0.0 from -0.0.  A shared gate thus has

@@ -15,11 +15,19 @@ counting, exporting and the DETO pipeline never load numpy.
 `gate_unitary` builds each gate's dense matrix from the `_TARGET` table
 and is the independent oracle.  No simulator multiplies by it.
 
+Both simulators know three actions: flip (X, CX, CCX), phase (every
+`DIAGONAL_KINDS` gate) and H.  `_primitive_gates` first lowers every other
+kind to those, by one table:
+
+    RCCX(c1, c2, t)  ->  CCX(c1, c2, t), CZ(c1, t), CSdg(c1, c2)
+    RX(theta) on t   ->  H(t), RZ(theta) on t, H(t)
+    CY(c, t)         ->  Sdg(t), CX(c, t), S(t)
+
 `apply` runs a block of states over the basis rows they occupy (`_Rows`):
 an array of basis indices and one row of amplitudes per index, one column
-per state.  X-type kinds only flip index bits, and diagonal kinds only
-scale a pending phase per row, which the rows take in one multiply before
-the next mix, before a dense switch and at the end.  The other kinds mix
+per state.  A flip only moves index bits, so RCCX never adds a row, and a
+phase only scales a pending phase per row, which the rows take in one
+multiply before the next H, before a dense switch and at the end.  H pairs
 each row with its partner on the target bit, found through a position table
 over the 2**n basis indices (int32, 4 * 2**n bytes, freed with the rows
 before a dense switch), adding a missing partner at zero and dropping a row
@@ -31,21 +39,18 @@ whose ancillas return to |0> occupies few rows beyond the block's own.
 `unitary_of`, and `apply` once its rows would outgrow its amplitude budget
 (the dense switch), run in-place slice kernels (Häner & Steiger, SC 2017)
 on the state viewed as a (2,)*n tensor, with `unitary_of`'s columns as a
-trailing batch axis.  Both simulators run RCCX as `rccx_decomposition`,
-which defines its unitary, so every gate they see is a 2x2 on the target
-applied where every control is |1>, i.e. to two views of the tensor
-(target 0 and target 1, controls fixed to 1).  Diagonal kinds scale those
-views, X-type kinds swap them, H becomes sum and difference, and RZ scales
-only the target-1 view; the scalars left out (H's 1/sqrt 2, RZ's
+trailing batch axis.  Each gate acts where every control is |1>, i.e. on
+two views of the tensor (target 0 and target 1, controls fixed to 1): a
+flip swaps them, a phase scales them (RZ only the target-1 view) and H
+becomes sum and difference; the scalars left out (H's 1/sqrt 2, RZ's
 e^{-i theta/2}) are multiplied in at the end.  Under `unitary_of`'s batch
-axis, X-type and diagonal gates leave the tensor alone: they act, by the
-same views, on a row map over the 2**n basis indices (row y of the result
-is phase[y] times row src[y]), which the tensor takes in one gather and one
-multiply before the next gate of another kind and at the end (Häner &
-Steiger's diagonal and permutation kernels).  The dense switch holds one
-column, where applying a gate costs no more than updating the map, so it
-applies every gate directly.  Either needs one scratch buffer of the
-tensor's size.
+axis, flips and phases leave the tensor alone: they act, by the same views,
+on a row map over the 2**n basis indices (row y of the result is phase[y]
+times row src[y]), which the tensor takes in one gather and one multiply
+before the next H and at the end (Häner & Steiger's diagonal and
+permutation kernels).  The dense switch holds one column, where applying a
+gate costs no more than updating the map, so it applies every gate
+directly.  Either needs one scratch buffer of the tensor's size.
 
 `equivalent_up_to_phase` runs one check per width: up to
 FULL_UNITARY_MAX_QUBITS wires it compares the two `data_block`s, beyond
@@ -62,7 +67,8 @@ import math
 import numpy as np
 
 from .ir import (
-    DIAGONAL_KINDS, X_FAMILY_KINDS, CapacityError, Circuit, Gate, GateKind, rccx_decomposition,
+    DIAGONAL_KINDS, X_FAMILY_KINDS, CapacityError, Circuit, Gate, GateKind, ccx, csdg, cx, cz, h,
+    rccx_decomposition, rz, s, sdg,
 )
 
 STATEVECTOR_QUBIT_CAP = 24
@@ -78,7 +84,7 @@ DROP_TOL = 1e-14  # apply drops a row whose amplitude is at most this in every c
 # on n wires; a block that would outgrow that goes dense one column at a time.
 # The floor keeps DEFAULT_TRIALS states that fill all 2**13 rows in the kernel.
 ROW_BLOCK_FLOOR = 1 << 18
-MIX_CHUNK_AMPLITUDES = 1 << 12  # the row kernel mixes this many amplitudes at a time
+MIX_CHUNK_AMPLITUDES = 1 << 12  # the row kernel applies H to this many amplitudes at a time
 
 
 class NonHermitianError(ValueError):
@@ -159,12 +165,12 @@ def _halves(tensor: np.ndarray, gate: Gate, n: int) -> tuple[np.ndarray, np.ndar
 
 
 def _apply_gate(tensor: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> complex:
-    """Apply `gate`, of any kind but RCCX, in place to a tensor shaped (2,)*n
-    (+ trailing batch axes).
+    """Apply `gate`, which is X-type, diagonal or H, in place to a tensor
+    shaped (2,)*n (+ trailing batch axes).
 
     Returns the scalar the kernel leaves out (RZ's e^{-i theta/2}, H's
     1/sqrt 2) for the caller to multiply in.  `scratch` is a flat buffer of
-    at least the tensor's size; nothing is allocated here.
+    at least half the tensor's size; nothing is allocated here.
     """
     kind = gate.kind
     a, b = _halves(tensor, gate, n)
@@ -185,24 +191,11 @@ def _apply_gate(tensor: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> 
         np.copyto(b, tmp)
         return 1.0
     u = _target_matrix(gate)
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        if u[0, 0] != 1:
-            a *= u[0, 0]
-        if u[1, 1] != 1:
-            b *= u[1, 1]
-        return 1.0
-    tmp2 = scratch[a.size:2 * a.size].reshape(a.shape)
-    np.multiply(a, u[0, 0], out=tmp)
-    np.multiply(b, u[0, 1], out=tmp2)
-    tmp += tmp2
-    np.multiply(a, u[1, 0], out=tmp2)
-    b *= u[1, 1]
-    b += tmp2
-    np.copyto(a, tmp)
+    if u[0, 0] != 1:
+        a *= u[0, 0]
+    if u[1, 1] != 1:
+        b *= u[1, 1]
     return 1.0
-
-
-_ROW_KINDS = X_FAMILY_KINDS | DIAGONAL_KINDS
 
 
 def _take_rows(tensor: np.ndarray, src: np.ndarray, phase: np.ndarray,
@@ -217,19 +210,19 @@ def _take_rows(tensor: np.ndarray, src: np.ndarray, phase: np.ndarray,
 
 
 def _run(tensor: np.ndarray, gates, n: int, scratch: np.ndarray) -> None:
-    """Apply `gates`, none of them RCCX, in place to `tensor`, shaped (2,)*n
-    (+ trailing batch axes), with `scratch` a flat buffer of its size.
+    """Apply `gates`, each X-type, diagonal or H, in place to `tensor`, shaped
+    (2,)*n (+ trailing batch axes), with `scratch` a flat buffer of its size.
 
     With a batch axis, X-type and diagonal gates leave the tensor alone and
     act on a pending row map instead, the row y of the result being phase[y]
     times the tensor's row src[y]; the tensor takes the map in one step
-    before the next gate of another kind, and at the end.
+    before the next H, and at the end.
     """
     factor = 1.0
     batched = tensor.ndim > n
     src = phase = None
     for g in gates:
-        if batched and g.kind in _ROW_KINDS:
+        if batched and g.kind is not GateKind.H:
             if src is None:
                 src = np.arange(2 ** n).reshape((2,) * n)
                 phase = np.ones((2,) * n, dtype=complex)
@@ -255,14 +248,21 @@ def _run(tensor: np.ndarray, gates, n: int, scratch: np.ndarray) -> None:
         tensor *= factor
 
 
+# `_primitive_gates`' table; RCCX's phases are diag(1, 1, 1, 1, 1, -1, -i, i)
+# on (c1, c2, t) after its CCX (Maslov, PRA 93, 022311, 2016).
+_LOWERING = {
+    GateKind.RCCX: lambda g: (ccx(*g.qubits), cz(g.controls[0], g.target), csdg(*g.controls)),
+    GateKind.RX: lambda g: (h(g.target), rz(g.target, g.angle), h(g.target)),
+    GateKind.CY: lambda g: (sdg(g.target), cx(g.controls[0], g.target), s(g.target)),
+}
+
+
 def _primitive_gates(circuit: Circuit) -> list[Gate]:
-    """The circuit's gates with RCCX replaced by its decomposition."""
+    """The circuit's gates, each kind in `_LOWERING` replaced by its lowering."""
     out: list[Gate] = []
     for g in circuit.gates:
-        if g.kind is GateKind.RCCX:
-            out += rccx_decomposition(*g.qubits)
-        else:
-            out.append(g)
+        lower = _LOWERING.get(g.kind)
+        out += lower(g) if lower else (g,)
     return out
 
 
@@ -290,29 +290,29 @@ class _Rows:
         self._phased = False
         self.dropped = np.zeros(columns)
         self._where = np.zeros(2 ** n, dtype=np.int32)
-        # Scratch for the mixing kernel, which works a chunk of rows at a time.
+        # Scratch for `_mix` (H), which works a chunk of rows at a time.
         self._chunk = max(1, MIX_CHUNK_AMPLITUDES // columns)
-        self._scratch = np.empty((4, min(self._chunk, capacity), columns), dtype=complex)
+        self._scratch = np.empty((3, min(self._chunk, capacity), columns), dtype=complex)
 
     def run(self, gates: list[Gate]) -> int:
         """Apply gates in order; return the index of the first gate not applied,
         which is the first that would grow the rows beyond capacity."""
         for i, g in enumerate(gates):
-            ctrl = sum(1 << c for c in g.controls)
             bit = 1 << g.target
+            if g.kind is GateKind.H:
+                self._take_phase()
+                if not self._mix(bit):
+                    return i
+                continue
+            ctrl = sum(1 << c for c in g.controls)
             idx = self.idx[:self.size]
             sel = np.flatnonzero((idx & ctrl) == ctrl) if ctrl else slice(None)
-            if g.kind in X_FAMILY_KINDS:
-                idx[sel] ^= bit
-                continue
-            u = _target_matrix(g)
-            if u[0, 1] == 0 and u[1, 0] == 0:
+            if g.kind in DIAGONAL_KINDS:
+                u = _target_matrix(g)
                 self.phase[:self.size][sel] *= np.where(idx[sel] & bit, u[1, 1], u[0, 0])
                 self._phased = True
-                continue
-            self._take_phase()
-            if not self._mix(np.arange(self.size)[sel], bit, u):
-                return i
+            else:
+                idx[sel] ^= bit
         self._take_phase()
         return len(gates)
 
@@ -323,13 +323,13 @@ class _Rows:
             self.phase[:self.size] = 1.0
             self._phased = False
 
-    def _mix(self, sel: np.ndarray, bit: int, u: np.ndarray) -> bool:
-        """Apply the 2x2 `u` to the rows `sel` paired on `bit`; False, with
-        nothing changed, if the missing partners do not fit."""
+    def _mix(self, bit: int) -> bool:
+        """Apply H on `bit` to every row and its partner; False, with nothing
+        changed, if the missing partners do not fit."""
         size = self.size
         idx = self.idx[:size]
         self._where[idx] = np.arange(1, size + 1, dtype=np.int32)
-        want = idx[sel] ^ bit
+        want = idx ^ bit
         partner = self._where[want] - 1
         self._where[idx] = 0
         missing = partner < 0
@@ -341,22 +341,20 @@ class _Rows:
         self.idx[size:size + len(new)] = new
         self.amp[size:size + len(new)] = 0.0
         self.size += len(new)
-        one = (self.idx[sel] & bit) != 0
-        lo = np.concatenate((sel[~one], partner[one & missing]))
-        hi = np.concatenate((partner[~one], sel[one & missing]))
+        one = (idx & bit) != 0
+        lo = np.concatenate((np.flatnonzero(~one), partner[one & missing]))
+        hi = np.concatenate((partner[~one], np.flatnonzero(one & missing)))
         tiny = []
         for start in range(0, len(lo), self._chunk):
             rows_lo, rows_hi = lo[start:start + self._chunk], hi[start:start + self._chunk]
-            a, b, out, tmp = self._scratch[:, :len(rows_lo)]
+            a, b, out = self._scratch[:, :len(rows_lo)]
             # mode="clip" (the rows are in range) writes to `out` unbuffered.
             np.take(self.amp, rows_lo, axis=0, out=a, mode="clip")
             np.take(self.amp, rows_hi, axis=0, out=b, mode="clip")
-            np.multiply(a, u[0, 0], out=out)
-            np.multiply(b, u[0, 1], out=tmp)
-            out += tmp
-            np.multiply(a, u[1, 0], out=tmp)
-            b *= u[1, 1]
-            b += tmp
+            a *= _SQRT_HALF
+            b *= _SQRT_HALF
+            np.add(a, b, out=out)
+            np.subtract(a, b, out=b)
             self.amp[rows_lo] = out
             self.amp[rows_hi] = b
             # A row is dropped when it is at most DROP_TOL in every column;

@@ -128,5 +128,12 @@ def test_params_validation():
         build_steps(PdeParams(n=4), 0, WingStyle.SPRAY)
 
 
+@pytest.mark.parametrize("tau, c, l", [(1e308, 10.0, 1.0), (1e308, 1.0, 0.5), (1.0, 1.0, 1e-308)])
+def test_params_refuse_a_backbone_angle_that_overflows(tau, c, l):
+    with pytest.raises(ValueError, match="backbone angle 2\\*c\\*tau/l = inf is not finite"):
+        PdeParams(n=4, tau=tau, c=c, l=l)
+    assert PdeParams(n=4, tau=tau / 100, c=c, l=l * 100).theta_bb < float("inf")
+
+
 def test_theta_bb():
     assert PdeParams(n=4, tau=0.2, c=2.0, l=0.5).theta_bb == pytest.approx(1.6)

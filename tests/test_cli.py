@@ -70,6 +70,29 @@ def test_build_rejects_non_finite_parameters_and_writes_nothing(tmp_path, capsys
     assert not out.exists()
 
 
+def test_build_and_verify_refuse_a_backbone_angle_that_overflows(built, tmp_path, capsys):
+    # 2 * c * tau / l = 2e309 overflows to inf although each parameter is finite.
+    out = tmp_path / "bad.mlco"
+    code, _, err = run(capsys, "build", "-n", "4", "--tau", "1e308", "--c", "10",
+                       "--out", str(out))
+    assert code == 2 and "backbone angle" in err
+    assert not out.exists()
+    for against in ("product-formula", "exact-evolution"):
+        code, printed, err = run(capsys, "verify", "--a", str(built), "--against", against,
+                                 "--tau", "1e308", "--c", "10")
+        assert code == 2 and "backbone angle" in err
+        assert printed == ""
+
+
+def test_count_refuses_an_int_angle_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "huge.mlco"
+    path.write_text('{"num_qubits": 1, "num_ancillas": 0, "gates": '
+                    '[{"kind": "RZ", "controls": [], "target": 0, "angle": 1' + "0" * 400 + '}]}')
+    code, out, err = run(capsys, "count", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "gate 0: angle must be a finite number" in err
+
+
 def test_build_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.mlco", tmp_path / "b.mlco"
     run(capsys, "build", "-n", "5", "-k", "2", "--out", str(a))

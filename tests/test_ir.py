@@ -546,6 +546,24 @@ def test_writer_refuses_a_non_finite_angle_by_position(gate, text):
         write_circuit(Circuit(2, (x(0), gate)))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_writer_refuses_an_int_angle_too_large_for_a_float(sign):
+    message = r"^gate 1: angle must be a finite number, got -?10{400}$"
+    with pytest.raises(CircuitError, match=message):
+        write_circuit(Circuit(2, (x(0), crz(0, 1, sign * 10**400))))
+    # An int a float holds is written as it is, and reads back unchanged.
+    circ = Circuit(1, (rz(0, sign * 10**300),))
+    assert read_circuit(write_circuit(circ)).gates[0].angle == sign * 10**300
+
+
+@pytest.mark.parametrize("angle", ["1" + "0" * 400, "-1" + "0" * 400], ids=["plus", "minus"])
+def test_read_refuses_an_int_angle_too_large_for_a_float_by_position(angle):
+    doc = ('{"num_qubits": 1, "num_ancillas": 0, "gates": [{"kind": "H", "target": 0}, '
+           f'{{"kind": "RZ", "controls": [], "target": 0, "angle": {angle}}}]}}')
+    with pytest.raises(ParseError, match=r"^gate 1: angle must be a finite number"):
+        read_circuit(doc)
+
+
 def test_read_shares_one_gate_among_equal_records():
     circ = Circuit(2, (cx(0, 1), rz(0, 0.5), cx(0, 1), h(1), rz(0, 0.5), cx(0, 1)))
     gates = read_circuit(write_circuit(circ)).gates

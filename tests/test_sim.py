@@ -15,12 +15,13 @@ from mlco.ir import (
 MULTI_CONTROL_KINDS = (GateKind.MCRZ,)
 
 
-def _reference_apply_gate(tensor, gate, n):
+def _reference_apply_gate(tensor, gate, n, u=None):
     """The dense path the kernels replaced: move the gate's axes to the
-    front, multiply by its unitary, move them back."""
-    if gate.kind is GateKind.RCCX:
+    front, multiply by its unitary `u` (default: its decomposition for RCCX,
+    else `gate_unitary`), move them back."""
+    if u is None and gate.kind is GateKind.RCCX:
         u = _reference_unitary(Circuit(3, rccx_decomposition(2, 1, 0)))
-    else:
+    elif u is None:
         u = sim.gate_unitary(gate)
     axes = [n - 1 - q for q in gate.qubits]
     k = len(axes)
@@ -105,6 +106,49 @@ def test_rccx_kernel_respects_control_order():
         _assert_matches_reference(Circuit(3, (h(0), h(1), gate)), rng)
     assert np.abs(sim.unitary_of(Circuit(3, (rccx(0, 1, 2),)))
                   - sim.unitary_of(Circuit(3, (rccx(1, 0, 2),)))).max() > 0.1
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_lowering_leaves_flips_phases_and_h_with_the_same_unitary(kind):
+    rng = np.random.default_rng(40 + list(GateKind).index(kind))
+    n = _min_wires(kind) + 1
+    for _ in range(3):
+        gate = _random_gate(rng, kind, n)
+        lowered = sim._primitive_gates(Circuit(n, (gate,)))
+        assert {g.kind for g in lowered} <= X_FAMILY_KINDS | DIAGONAL_KINDS | {GateKind.H}
+        assert (lowered == [gate]) == (kind not in (GateKind.RCCX, GateKind.RX, GateKind.CY))
+        assert np.abs(_reference_unitary(Circuit(n, tuple(lowered)))
+                      - _reference_unitary(Circuit(n, (gate,)))).max() < 1e-12
+
+
+@pytest.mark.parametrize("controls", [(2, 1), (1, 2)])
+def test_rccx_lowering_is_gate_unitary_for_either_control_order(controls):
+    gate = rccx(*controls, 0)
+    lowered = Circuit(3, tuple(sim._primitive_gates(Circuit(3, (gate,)))))
+    assert [g.kind for g in lowered.gates] == [GateKind.CCX, GateKind.CZ, GateKind.CSDG]
+    eye = np.eye(8, dtype=complex).reshape((2,) * 3 + (8,))
+    want = _reference_apply_gate(eye, gate, 3, sim.gate_unitary(gate)).reshape(8, 8)
+    assert np.abs(_reference_unitary(lowered) - want).max() < 1e-14
+    assert np.abs(sim.unitary_of(Circuit(3, (gate,))) - want).max() < 1e-14
+
+
+def test_rccx_block_stays_in_the_row_kernel_without_adding_rows(monkeypatch):
+    # With no floor, 4 columns on 8 wires get 16 rows, which the block
+    # fills.  Each RCCX is a flip and two phases, so none adds a row, where
+    # the H of its 3-CX form would double them.
+    monkeypatch.setattr(sim, "ROW_BLOCK_FLOOR", 0)
+    runs = []
+    dense_run = sim._run
+    monkeypatch.setattr(sim, "_run", lambda *args: runs.append(1) or dense_run(*args))
+    ladder = (rccx(0, 1, 4), rccx(4, 2, 5), rccx(3, 5, 6), rccx(6, 0, 7))
+    c = Circuit(8, ladder + (rccx(7, 4, 1), cz(7, 2), rccx(2, 5, 3))
+                + tuple(reversed(ladder)), num_ancillas=4)
+    block = _random_block(np.random.default_rng(27), 16, 4)
+    out, outside = sim.apply(c, block)
+    assert runs == []
+    want, left = _reference_block(c, block)
+    assert np.abs(out - want).max() < 1e-12
+    assert np.abs(outside - left).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
